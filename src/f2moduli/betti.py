@@ -156,6 +156,8 @@ def mod2_table(g: int) -> BettiTable:
         raise ValidationError(f"genus must be >= 1, got {g}")
     if g == 1:
         return BettiTable(1, "F2", (1, 1, 1, 1))
+    for k in range(2, g):  # bottom-up, so that the call depth stays constant
+        mod2_table(k)
     prev = mod2_table(g - 1)
     pg = g - 1
     values = []
@@ -184,6 +186,8 @@ def rational_table(g: int) -> BettiTable:
         raise ValidationError(f"genus must be >= 1, got {g}")
     if g == 1:
         return BettiTable(1, "Q", (1, 0, 0, 1))
+    for k in range(2, g):  # bottom-up, so that the call depth stays constant
+        rational_table(k)
     prev = rational_table(g - 1)
     pg = g - 1
     n = 6 * g - 3

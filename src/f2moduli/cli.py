@@ -40,17 +40,7 @@ from .moduli import (
     reference_diagnostics,
     rho_profile,
 )
-from .mv import (
-    _rank_bounds,
-    build_split,
-    canonical_data,
-    closed_form_ker_coker,
-    describe,
-    glue_from_rows,
-    infer_nu_rank,
-    split_rows,
-    twoplustwo_report,
-)
+from .mv import describe, infer_nu_ranks, split_report
 from .ringdata import alpha_ranks_from_tables
 from .serre import genus2_ring, load_alpha_profile, serre_betti
 
@@ -282,124 +272,146 @@ def _parse_split(tok: str) -> tuple[int, int]:
     return int(m.group(1)), int(m.group(2))
 
 
-def cmd_mv(args) -> int:
-    a, g = args.split
-    if (a, g) == (2, 2) and args.degree is None:
-        seeds = tuple(range(args.seed, args.seed + args.samples)) if args.samples > 1 else (args.seed,)
-        report = twoplustwo_report(seeds=seeds)
-        payload = {
-            "command": "mv",
-            "split": [2, 2],
-            "seeds": list(seeds),
-            "rows": [
-                {
-                    "degree": row.degree,
-                    "dom": row.dom,
-                    "cod": row.cod,
-                    "ker_window": list(row.ker_interval),
-                    "cok_window": list(row.cok_interval),
-                    "chain": list(row.chain),
-                    "recorded": list(row.recorded) if row.recorded else None,
-                    "realized": [[s, k, c] for s, (k, c) in sorted(row.realized.items())],
-                    "verdict": row.verdict,
-                }
-                for row in report.rows
-            ],
-            "chain_matches_recorded": report.chain_matches_recorded,
-            "enumeration": [[x, y, ok] for x, y, ok in report.enumeration],
-        }
-        _emit(args, OutputDocument(payload, None, report.lines()))
-        return 0 if report.chain_matches_recorded and not report.realized_off_chain else 2
+def _window(interval: tuple[int, int]) -> str:
+    return f"[{interval[0]},{interval[1]}]"
 
-    da = canonical_data(a)
-    dg = da if a == g else canonical_data(g)
-    total = a + g
-    degrees = [args.degree] if args.degree is not None else list(range(6 * total - 2))
-    if args.degree is not None and not 0 <= args.degree <= 6 * total - 3:
-        raise ValueError(f"degree {args.degree} outside 0..{6 * total - 3} for this split")
-    samples = {
-        s: split_rows(da, dg, degrees, seed=s)
-        for s in range(args.seed, args.seed + args.samples)
+
+def _row_fields(row) -> dict:
+    return {
+        "degree": row.degree,
+        "dom": row.dom,
+        "cod": row.cod,
+        "ker_window": list(row.ker_interval),
+        "cok_window": list(row.cok_interval),
+        "verdict": row.verdict,
     }
-    base = samples[args.seed]
-    stable = all(samples[s] == base for s in samples)
 
-    rows = []
-    jrows = []
-    for r in degrees:
-        diag = build_split(r, da, dg)
-        dom, cod = diag.domain_dim(), diag.codomain_dim()
-        lo, hi = _rank_bounds(diag, da, dg)
-        kw = (dom - hi, dom - lo)
-        cw = (cod - hi, cod - lo)
-        ker, cok = base[r]
-        cf = closed_form_ker_coker(g, r) if a == 1 else None
-        verdict = "forced" if (cf is not None or (kw[0] == kw[1] and cw[0] == cw[1])) else "open"
-        rows.append([r, dom, cod, ker, cok, f"[{kw[0]},{kw[1]}]", f"[{cw[0]},{cw[1]}]", verdict])
+
+def _split_rows_document(report, dumps: list[list[str]]) -> OutputDocument:
+    a, g = report.split
+    seed = report.seeds[0]
+    rows, jrows = [], []
+    csv_rows = [["degree", "dom", "cod", "ker", "cok", "ker_lo", "ker_hi", "cok_lo", "cok_hi"]]
+    for row in report.rows:
+        ker, cok = row.realized[seed]
+        rows.append(
+            [row.degree, row.dom, row.cod, ker, cok,
+             _window(row.ker_interval), _window(row.cok_interval), row.verdict]
+        )
+        csv_rows.append(
+            [row.degree, row.dom, row.cod, ker, cok, *row.ker_interval, *row.cok_interval]
+        )
         jrows.append(
             {
-                "degree": r,
-                "dom": dom,
-                "cod": cod,
+                **_row_fields(row),
                 "ker": ker,
                 "cok": cok,
-                "ker_window": list(kw),
-                "cok_window": list(cw),
-                "closed_form": list(cf) if cf is not None else None,
-                "verdict": verdict,
+                "closed_form": list(row.closed_form) if row.closed_form is not None else None,
             }
         )
-
-    glue_matches = None
-    if args.degree is None:
-        glued = glue_from_rows(base, total)
-        glue_matches = glued.values == mod2_table(total).values
-
-    dumps = []
-    if args.describe:
-        for r in degrees:
-            dumps.append(describe(build_split(r, da, dg)))
-
     payload = {
         "command": "mv",
         "split": [a, g],
-        "seed": args.seed,
-        "samples": args.samples,
-        "stable": stable,
+        "seed": seed,
+        "samples": len(report.seeds),
+        "stable": report.stable,
         "rows": jrows,
-        "glue_matches": glue_matches,
+        "glue_matches": report.glue_matches,
         "describe": dumps or None,
     }
-    text = [f"{a}+{g} split diagrams (seed {args.seed})", ""]
+    text = [f"{a}+{g} split diagrams (seed {seed})", ""]
     text += _md_table(
         ["r", "dom", "cod", "ker", "cok", "ker range", "cok range", "verdict"], rows
     )
     for dump in dumps:
         text.append("")
         text.extend(dump)
-    if args.samples > 1:
+    if len(report.seeds) > 1:
         text.append("")
         text.append(
-            f"rows stable across seeds {args.seed}..{args.seed + args.samples - 1}"
-            if stable
+            f"rows stable across seeds {seed}..{report.seeds[-1]}"
+            if report.stable
             else "rows VARY across seeds"
         )
-    if glue_matches is not None:
+    if report.glue_matches is not None:
         text.append("")
         text.append(
-            f"glued table matches the genus-{total} recursion values"
-            if glue_matches
-            else f"glued table DIVERGES from the genus-{total} recursion values"
+            f"glued table matches the genus-{a + g} recursion values"
+            if report.glue_matches
+            else f"glued table DIVERGES from the genus-{a + g} recursion values"
         )
-    _emit(args, OutputDocument(payload, [
-        ["degree", "dom", "cod", "ker", "cok", "ker_lo", "ker_hi", "cok_lo", "cok_hi"]
-    ] + [
-        [j["degree"], j["dom"], j["cod"], j["ker"], j["cok"],
-         j["ker_window"][0], j["ker_window"][1], j["cok_window"][0], j["cok_window"][1]]
-        for j in jrows
-    ], text))
-    ok = stable and glue_matches in (None, True)
-    return 0 if ok else 2
+    return OutputDocument(payload, csv_rows, text)
+
+
+def _split22_document(report, scan, dumps: list[list[str]]) -> OutputDocument:
+    """The 2+2 bookkeeping: windows, chain, records, realisations, joint scan."""
+    payload = {
+        "command": "mv",
+        "split": [2, 2],
+        "seeds": list(report.seeds),
+        "rows": [
+            {
+                **_row_fields(row),
+                "chain": list(row.chain),
+                "recorded": list(row.recorded),
+                "realized": [[s, k, c] for s, (k, c) in sorted(row.realized.items())],
+            }
+            for row in report.rows
+        ],
+        "chain_matches_recorded": report.chain_matches_recorded,
+        "enumeration": [[*ranks, ok] for ranks, ok in scan.passing],
+    }
+    text = [
+        "2+2 split bookkeeping (ker, cok per degree)",
+        f"{'r':>3} {'dom':>5} {'cod':>5} {'ker range':>11} {'cok range':>11}"
+        f" {'chain':>9} {'recorded':>9} verdict",
+    ]
+    for row in report.rows:
+        rec = f"({row.recorded[0]},{row.recorded[1]})"
+        text.append(
+            f"{row.degree:>3} {row.dom:>5} {row.cod:>5} {_window(row.ker_interval):>11}"
+            f" {_window(row.cok_interval):>11} ({row.chain[0]},{row.chain[1]})".ljust(62)
+            + f" {rec:>9} {row.verdict}"
+        )
+    text.append(
+        "chain matches the recorded rows"
+        if report.chain_matches_recorded
+        else "chain DIVERGES from the recorded rows"
+    )
+    if report.realized_off_chain:
+        degs = ", ".join(str(d) for d in report.realized_off_chain)
+        text.append(f"canonical realisation differs from the chain at degrees {degs}")
+    else:
+        text.append("canonical realisation reproduces the chain at every degree")
+    text.append("joint rank scan for the two open arrows (degrees 5 and 6):")
+    for (a, b), ok in scan.passing:
+        text.append(f"  (nu_5, nu_6) = ({a}, {b}): {'passes' if ok else 'fails'}")
+    if dumps:
+        payload["describe"] = dumps
+        for dump in dumps:
+            text.append("")
+            text.extend(dump)
+    return OutputDocument(payload, None, text)
+
+
+def _joint_scan22():
+    # the two genus-2 arrows whose rank the 2+2 bookkeeping itself had to pin down
+    unknowns = {MapRef("nu", 5, 2): (4, 5), MapRef("nu", 6, 2): (4, 5)}
+    return infer_nu_ranks(2, 2, unknowns, (8, 9, 10, 12))
+
+
+def cmd_mv(args) -> int:
+    a, g = args.split
+    seeds = range(args.seed, args.seed + args.samples)
+    report = split_report(a, g, seeds, None if args.degree is None else [args.degree])
+    dumps = [describe(row.diagram) for row in report.rows] if args.describe else []
+    if report.chain_matches_recorded is None:
+        doc = _split_rows_document(report, dumps)
+    else:
+        # recorded rows (the 2+2 split) come with the joint scan of their open arrows
+        doc = _split22_document(report, _joint_scan22(), dumps)
+    _emit(args, doc)
+    return 0 if report.ok else 2
 
 
 def _parse_map(tok: str) -> MapRef:
@@ -413,46 +425,26 @@ def _parse_map(tok: str) -> MapRef:
 
 def cmd_infer(args) -> int:
     a, g = args.split
-    if args.at_degree is not None:
-        res = infer_nu_rank(a, g, args.unknown, args.at_degree, seed=args.seed)
-        tried = [args.at_degree]
+    degrees = None if args.at_degree is None else [args.at_degree]
+    scan = infer_nu_ranks(a, g, {args.unknown: None}, degrees, seed=args.seed)
+    res = scan.checks[-1]
+    unknown = args.unknown.notation()
+    payload = {"command": "infer", "split": [a, g], "unknown": unknown, "deduced": res.deduced}
+    if args.at_degree is None and res.deduced is None:
+        tried = [check.at_degree for check in scan.checks]
+        payload.update(at_degree=None, tried_degrees=tried)
+        text = [f"no glue degree in 1..{tried[-1]} pins rank {unknown} on its own"]
     else:
-        res = None
-        tried = []
-        for r in range(1, 6 * (a + g) - 2):
-            cur = infer_nu_rank(a, g, args.unknown, r, seed=args.seed)
-            tried.append(r)
-            if cur.deduced is not None:
-                res = cur
-                break
-        if res is None:
-            cur_lines = [
-                f"no glue degree in 1..{6 * (a + g) - 3} pins rank "
-                f"{args.unknown.notation()} on its own"
-            ]
-            payload = {
-                "command": "infer",
-                "split": [a, g],
-                "unknown": args.unknown.notation(),
-                "at_degree": None,
-                "deduced": None,
-                "tried_degrees": tried,
-            }
-            _emit(args, OutputDocument(payload, None, cur_lines))
-            return 0
-    payload = {
-        "command": "infer",
-        "split": [a, g],
-        "unknown": args.unknown.notation(),
-        "at_degree": res.at_degree,
-        "target": res.target_value,
-        "candidates": [
-            {"rank": c.rank, "glue": c.glue_value, "status": c.status}
-            for c in res.candidates
-        ],
-        "deduced": res.deduced,
-    }
-    _emit(args, OutputDocument(payload, None, res.lines()))
+        payload.update(
+            at_degree=res.at_degree,
+            target=res.target_value,
+            candidates=[
+                {"rank": c.rank, "glue": c.glue_value, "status": c.status}
+                for c in res.candidates
+            ],
+        )
+        text = res.lines()
+    _emit(args, OutputDocument(payload, None, text))
     return 0
 
 
@@ -541,22 +533,14 @@ def _verify_checks(max_genus: int):
     )
     checks.append(("derived-ring-profiles", ok, f"round-trip g=1..{min(top, 6)}"))
 
-    d1 = genus1_data()
-    d2 = genus2_data()
-    rows11 = split_rows(d1, d1)
-    rows12 = split_rows(d1, d2)
-    ok = (
-        glue_from_rows(rows11, 2).values == mod2_table(2).values
-        and glue_from_rows(rows12, 3).values == mod2_table(3).values
-    )
+    split11, split12 = split_report(1, 1), split_report(1, 2)
+    ok = split11.glue_matches and split12.glue_matches
     checks.append(("split-gluing", ok, "1+1 and 1+2 rows glue to the next table"))
-
-    ok = all(
-        closed_form_ker_coker(2, r) in (None, rows12[r]) for r in range(16)
+    checks.append(
+        ("split-closed-forms", split12.closed_forms_hold, "forced 1+2 degrees match realisations")
     )
-    checks.append(("split-closed-forms", ok, "forced 1+2 degrees match realisations"))
 
-    report = twoplustwo_report(seeds=(0,))
+    report = split_report(2, 2)
     ok = report.chain_matches_recorded and not report.realized_off_chain
     checks.append(
         ("recorded-splitting-rows", ok, "2+2 chain and realisation agree with records")
@@ -603,14 +587,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _genus(tok: str) -> int:
-    try:
-        v = int(tok)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid genus {tok!r}")
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"genus must be at least 1, got {tok}")
-    return v
+def _at_least_one(name: str):
+    def parse(tok: str) -> int:
+        try:
+            v = int(tok)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {name} {tok!r}")
+        if v < 1:
+            raise argparse.ArgumentTypeError(f"{name} must be at least 1, got {tok}")
+        return v
+
+    return parse
+
+
+_genus = _at_least_one("genus")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -648,7 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", type=_parse_split, required=True, metavar="A+G")
     p.add_argument("--degree", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=1)
+    p.add_argument("--samples", type=_at_least_one("samples"), default=1)
     p.add_argument("--describe", action="store_true", help="dump summands and edges per degree")
     p.set_defaults(func=cmd_mv)
 

@@ -15,13 +15,16 @@ Ranks of the arrows come from recorded :class:`~f2moduli.moduli.GenusData`;
 matrices realising them come from :mod:`f2moduli._witness`.  The module
 also carries the closed-form kernel/cokernel expressions for 1+g splits
 at the degrees where the profiles force them, a Gaussian elimination for
-realised diagrams, rank inference for unrecorded arrows, and the full
-bookkeeping report for the 2+2 split.
+realised diagrams, one report that turns any split into rows
+(:func:`split_report`), and one rank inference for unrecorded arrows
+(:func:`infer_nu_ranks`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product
 
 from . import reference
 from .betti import BettiTable, m_coeff, mod2_table
@@ -63,12 +66,14 @@ __all__ = [
     "surjective_mode_kernel",
     "canonical_data",
     "hypothesis_data",
+    "SplitRow",
+    "SplitReport",
+    "split_report",
+    "infer_nu_ranks",
     "infer_nu_rank",
+    "InferenceScan",
     "InferenceResult",
     "CandidateVerdict",
-    "SplitRow",
-    "TwoPlusTwoReport",
-    "twoplustwo_report",
     "ConstraintReading",
     "interpret_constraints",
 ]
@@ -115,12 +120,6 @@ class RealizedDiagram:
 
     summands: dict[Label, int]
     edges: dict[tuple[Label, Label], BitMatrix]
-
-    def domain_dim(self) -> int:
-        return sum(d for l, d in self.summands.items() if l[0] == "dom")
-
-    def codomain_dim(self) -> int:
-        return sum(d for l, d in self.summands.items() if l[0] != "dom")
 
 
 def build_split(r: int, da: GenusData, dg: GenusData) -> Diagram:
@@ -266,21 +265,6 @@ def eliminate(d: RealizedDiagram) -> RealizedDiagram:
 # ---------------------------------------------------------------------------
 # rows and gluing
 # ---------------------------------------------------------------------------
-
-
-def split_rows(
-    da: GenusData,
-    dg: GenusData,
-    degrees=None,
-    seed: int = 0,
-) -> dict[int, tuple[int, int]]:
-    """(kernel, cokernel) of the realised comparison map, per degree."""
-    total = da.genus + dg.genus
-    if degrees is None:
-        degrees = range(6 * total - 2)
-    wa = synthesize_witnesses(da, seed)
-    wb = wa if dg is da else synthesize_witnesses(dg, seed)
-    return {r: ker_coker(realize(build_split(r, da, dg), wa, wb)) for r in degrees}
 
 
 def glue_from_rows(rows: dict[int, tuple[int, int]], genus: int) -> BettiTable:
@@ -434,169 +418,65 @@ def canonical_data(g: int) -> GenusData:
 
 
 # ---------------------------------------------------------------------------
-# rank inference
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CandidateVerdict:
-    rank: int
-    status: str  # "consistent" | "inconsistent" | "infeasible"
-    glue_value: int | None
-
-
-@dataclass(frozen=True)
-class InferenceResult:
-    split: tuple[int, int]
-    unknown: MapRef
-    at_degree: int
-    target_value: int
-    candidates: tuple[CandidateVerdict, ...]
-    deduced: int | None
-
-    def lines(self) -> list[str]:
-        u = self.unknown.notation()
-        out = [
-            f"infer rank {u} from the {self.split[0]}+{self.split[1]} split "
-            f"at degree {self.at_degree} (target {self.target_value})"
-        ]
-        for c in self.candidates:
-            shown = "-" if c.glue_value is None else str(c.glue_value)
-            out.append(f"  rank {c.rank}: glue {shown} -> {c.status}")
-        if self.deduced is None:
-            out.append("  no unique rank deduced")
-        else:
-            out.append(f"  deduced rank {u} = {self.deduced}")
-        return out
-
-
-def _with_nu_ranks(g: int, replacements: dict[int, int]) -> GenusData:
-    """Canonical bundle with some nu ranks replaced."""
-    base = canonical_data(g)
-    ranks = {r: base.nu[r].rank for r in range(6 * g + 1)}
-    ranks.update(replacements)
-    return assemble_genus_data(g, ranks, base.constraints)
-
-
-def infer_nu_rank(
-    a: int,
-    g: int,
-    unknown: MapRef,
-    at_degree: int,
-    seed: int = 0,
-) -> InferenceResult:
-    """Deduce an unrecorded nu rank from one glue equation.
-
-    Every candidate rank is substituted into the bundle, realised, and
-    tested against h_{at}(joined) = |cok lambda_at| + |ker lambda_{at-1}|
-    for the a+g split.  A candidate that cannot coexist with the mu and
-    rho profiles is reported infeasible; if exactly one candidate passes
-    the glue equation, it is the deduced rank.
-    """
-    if unknown.family != "nu":
-        raise ValidationError("only nu ranks are open for inference")
-    if unknown.genus not in (a, g):
-        raise ValidationError(f"unknown map lives at genus {unknown.genus}, split is {a}+{g}")
-    target = mod2_table(a + g)
-    tv = target[at_degree]
-    s = unknown.degree
-    probe = canonical_data(unknown.genus)
-    cmax = min(probe.h[s], probe.nplus[s])
-    verdicts: list[CandidateVerdict] = []
-    consistent: list[int] = []
-    for cand in range(cmax + 1):
-        try:
-            mod = _with_nu_ranks(unknown.genus, {s: cand})
-        except ValidationError:
-            verdicts.append(CandidateVerdict(cand, "infeasible", None))
-            continue
-        da = mod if unknown.genus == a else canonical_data(a)
-        dg = mod if unknown.genus == g else canonical_data(g)
-        if a == g:
-            da = dg = mod
-        wa = synthesize_witnesses(da, seed)
-        wb = wa if dg is da else synthesize_witnesses(dg, seed)
-        _, cok_at = ker_coker(realize(build_split(at_degree, da, dg), wa, wb))
-        ker_prev, _ = ker_coker(realize(build_split(at_degree - 1, da, dg), wa, wb))
-        value = cok_at + ker_prev
-        ok = value == tv
-        verdicts.append(
-            CandidateVerdict(cand, "consistent" if ok else "inconsistent", value)
-        )
-        if ok:
-            consistent.append(cand)
-    deduced = consistent[0] if len(consistent) == 1 else None
-    return InferenceResult((a, g), unknown, at_degree, tv, tuple(verdicts), deduced)
-
-
-# ---------------------------------------------------------------------------
-# the 2+2 split report
+# the split report
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class SplitRow:
+    """One degree of a split: integers plus the symbolic diagram (no matrices).
+
+    ``chain`` is the (ker, cok) the glue equation forces degree by degree
+    from the joined table, known when every degree is covered.  The
+    verdict is "forced" for a closed form or a one-point window,
+    "consistent" when every realisation equals the chain and the recorded
+    row, and "open" otherwise.
+    """
+
     degree: int
+    diagram: Diagram
     dom: int
     cod: int
     ker_interval: tuple[int, int]
     cok_interval: tuple[int, int]
-    chain: tuple[int, int]  # (ker, cok) forced degree-by-degree by the target
-    realized: dict[int, tuple[int, int]] = field(default_factory=dict)
-    recorded: tuple[int, int] | None = None
-    verdict: str = "open"
+    realized: dict[int, tuple[int, int]]  # witness seed -> (ker, cok)
+    closed_form: tuple[int, int] | None
+    chain: tuple[int, int] | None
+    recorded: tuple[int, int] | None  # the published row, where one exists
+    verdict: str
 
     @property
     def pinned(self) -> bool:
-        return (
-            self.ker_interval[0] == self.ker_interval[1]
-            and self.cok_interval[0] == self.cok_interval[1]
-        )
+        return self.ker_interval[0] == self.ker_interval[1]  # both windows are hi - lo wide
 
 
 @dataclass(frozen=True)
-class TwoPlusTwoReport:
+class SplitReport:
+    """A split's rows and what they show together; None where they cannot tell."""
+
+    split: tuple[int, int]
+    seeds: tuple[int, ...]
     rows: tuple[SplitRow, ...]
-    chain_matches_recorded: bool
-    realized_off_chain: tuple[int, ...]  # degrees where seed-0 differs from chain
-    enumeration: tuple[tuple[int, int, bool], ...]  # (nu5, nu6, passes)
+    stable: bool  # every seed realises the same rows
+    glue_matches: bool | None  # the first seed's rows glue to the joined table
+    chain_matches_recorded: bool | None
+    realized_off_chain: tuple[int, ...]  # degrees where a realisation leaves the chain
 
-    def lines(self) -> list[str]:
-        out = ["2+2 split bookkeeping (ker, cok per degree)"]
-        out.append(
-            f"{'r':>3} {'dom':>5} {'cod':>5} {'ker range':>11} {'cok range':>11}"
-            f" {'chain':>9} {'recorded':>9} verdict"
+    @property
+    def ok(self) -> bool:
+        """Seed-independent, and no divergence from the joined table or the records."""
+        return (
+            self.stable
+            and self.glue_matches is not False
+            and self.chain_matches_recorded is not False
         )
-        for row in self.rows:
-            ki, ci = row.ker_interval, row.cok_interval
-            rng_k = f"[{ki[0]},{ki[1]}]"
-            rng_c = f"[{ci[0]},{ci[1]}]"
-            rec = "-" if row.recorded is None else f"({row.recorded[0]},{row.recorded[1]})"
-            out.append(
-                f"{row.degree:>3} {row.dom:>5} {row.cod:>5} {rng_k:>11} {rng_c:>11}"
-                f" ({row.chain[0]},{row.chain[1]})".ljust(62)
-                + f" {rec:>9} {row.verdict}"
-            )
-        out.append(
-            "chain matches the recorded rows"
-            if self.chain_matches_recorded
-            else "chain DIVERGES from the recorded rows"
+
+    @property
+    def closed_forms_hold(self) -> bool:
+        return all(
+            row.closed_form is None or set(row.realized.values()) == {row.closed_form}
+            for row in self.rows
         )
-        if self.realized_off_chain:
-            degs = ", ".join(str(d) for d in self.realized_off_chain)
-            out.append(f"canonical realisation differs from the chain at degrees {degs}")
-        else:
-            out.append("canonical realisation reproduces the chain at every degree")
-        out.append("joint rank scan for the two open arrows (degrees 5 and 6):")
-        for a, b, ok in self.enumeration:
-            out.append(f"  (nu_5, nu_6) = ({a}, {b}): {'passes' if ok else 'fails'}")
-        return out
-
-
-def _edge_rank(data_a: GenusData, data_b: GenusData, spec: EdgeSpec) -> int:
-    d = data_a if spec.side == "A" else data_b
-    prof = d.nu[spec.degree] if spec.family == "nu" else d.rho[spec.degree]
-    return prof.rank * spec.factor
 
 
 def _rank_bounds(diag: Diagram, da: GenusData, dg: GenusData) -> tuple[int, int]:
@@ -624,90 +504,215 @@ def _rank_bounds(diag: Diagram, da: GenusData, dg: GenusData) -> tuple[int, int]
     return lo, hi
 
 
-def twoplustwo_report(seeds: tuple[int, ...] = (0, 1, 2)) -> TwoPlusTwoReport:
-    """Everything the 2+2 split determines about the genus-4 table.
+def split_rows(da: GenusData, dg: GenusData, degrees=None, seed: int = 0) -> dict:
+    """(kernel, cokernel) of the realised comparison map, per degree."""
+    return {row.degree: row.realized[seed] for row in _report(da, dg, (seed,), degrees).rows}
 
-    Per degree: the structural rank window (exact submatrix bounds, so
-    every realisation lands inside), the (ker, cok) chain forced by
-    walking the glue equation down the known genus-4 table, realised
-    samples for several witness seeds, and the recorded row.  A row is
-    "forced" when the window is a point, "consistent" when every sampled
-    realisation agrees with the chain, and "open" otherwise.  The report
-    ends with the joint feasibility scan for the two arrows whose rank
-    the bookkeeping itself had to pin down (degrees 5 and 6).
+
+def split_report(a: int, g: int, seeds=(0,), degrees=None) -> SplitReport:
+    """Everything the a+g split of the canonical bundles determines.
+
+    For each degree (all of 0..6(a+g)-3 by default): the rank window, the
+    (ker, cok) realised with each witness seed, the 1+g closed form, the
+    chain, the recorded row and the verdict.
     """
-    d2 = genus2_data()
-    target = mod2_table(4)
-    n = len(target.values)  # degrees 0..21
-    witness = {s: synthesize_witnesses(d2, s) for s in seeds}
-    rows: list[SplitRow] = []
-    chain_ker_prev = 0
-    chain_ok = True
-    off_chain: list[int] = []
-    for r in range(n):
-        diag = build_split(r, d2, d2)
+    da = canonical_data(a)
+    return _report(da, da if a == g else canonical_data(g), seeds, degrees)
+
+
+def _report(da: GenusData, dg: GenusData, seeds, degrees) -> SplitReport:
+    a, g = da.genus, dg.genus
+    n = 6 * (a + g) - 2
+    degrees = list(range(n)) if degrees is None else list(degrees)
+    for r in degrees:
+        if not 0 <= r < n:
+            raise ValidationError(f"degree {r} outside 0..{n - 1} for this split")
+    target = mod2_table(a + g)
+    covered = degrees == list(range(n))
+    records = {}
+    if (a, g) == (2, 2):
+        records = dict(enumerate(zip(reference.SPLIT22_KER, reference.SPLIT22_COKER)))
+    witnesses = {}  # once per seed and piece
+    for s in seeds:
+        wa = synthesize_witnesses(da, s)
+        witnesses[s] = (wa, wa if dg is da else synthesize_witnesses(dg, s))
+    rows = []
+    for r in degrees:
+        diag = build_split(r, da, dg)
         dom, cod = diag.domain_dim(), diag.codomain_dim()
-        lo, hi = _rank_bounds(diag, d2, d2)
-        ker_iv = (dom - hi, dom - lo)
-        cok_iv = (cod - hi, cod - lo)
-        chain_cok = target[r] - chain_ker_prev
-        chain_ker = dom - cod + chain_cok
-        chain = (chain_ker, chain_cok)
-        chain_ker_prev = chain_ker
-        realized = {
-            s: ker_coker(realize(diag, w, w)) for s, w in witness.items()
-        }
-        recorded = (reference.SPLIT22_KER[r], reference.SPLIT22_COKER[r])
-        if chain != recorded:
-            chain_ok = False
-        if 0 in realized and realized[0] != chain:
-            off_chain.append(r)
-        if ker_iv[0] == ker_iv[1] and cok_iv[0] == cok_iv[1]:
+        lo, hi = _rank_bounds(diag, da, dg)
+        realized = {s: ker_coker(realize(diag, wa, wb)) for s, (wa, wb) in witnesses.items()}
+        closed = closed_form_ker_coker(g, r) if a == 1 else None
+        chain = None
+        if covered:
+            cok = target[r] - (rows[-1].chain[0] if rows else 0)
+            chain = (dom - cod + cok, cok)
+        if closed is not None or lo == hi:
             verdict = "forced"
-        elif all(v == chain for v in realized.values()):
+        elif all(v == chain == records.get(r) for v in realized.values()):
             verdict = "consistent"
         else:
             verdict = "open"
-        rows.append(
-            SplitRow(
-                degree=r,
-                dom=dom,
-                cod=cod,
-                ker_interval=ker_iv,
-                cok_interval=cok_iv,
-                chain=chain,
-                realized=realized,
-                recorded=recorded,
-                verdict=verdict,
-            )
+        rows.append(SplitRow(r, diag, dom, cod, (dom - hi, dom - lo), (cod - hi, cod - lo),
+                             realized, closed, chain, records.get(r), verdict))
+    first = {row.degree: row.realized[seeds[0]] for row in rows}
+    return SplitReport(
+        (a, g),
+        tuple(seeds),
+        tuple(rows),
+        stable=all(len(set(row.realized.values())) == 1 for row in rows),
+        glue_matches=glue_from_rows(first, a + g).values == target.values if covered else None,
+        chain_matches_recorded=(
+            all(row.chain == row.recorded for row in rows) if covered and records else None
+        ),
+        realized_off_chain=tuple(
+            row.degree for row in rows if covered and set(row.realized.values()) != {row.chain}
+        ),
+    )
+
+
+# ---------------------------------------------------------------------------
+# rank inference
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CandidateVerdict:
+    rank: int | tuple[int, ...]  # a tuple, one rank per unknown, when several are open
+    status: str  # "consistent" | "inconsistent" | "infeasible"
+    glue_value: int | None
+
+
+@dataclass(frozen=True)
+class InferenceResult:
+    """Every candidate tested against the glue equation at one degree."""
+
+    split: tuple[int, int]
+    unknowns: tuple[MapRef, ...]
+    at_degree: int
+    target_value: int
+    candidates: tuple[CandidateVerdict, ...]
+
+    @property
+    def deduced(self) -> int | tuple[int, ...] | None:
+        """The rank of the only consistent candidate, else None."""
+        hits = [c.rank for c in self.candidates if c.status == "consistent"]
+        return hits[0] if len(hits) == 1 else None
+
+    def lines(self) -> list[str]:
+        u = ", ".join(m.notation() for m in self.unknowns)
+        out = [
+            f"infer rank {u} from the {self.split[0]}+{self.split[1]} split "
+            f"at degree {self.at_degree} (target {self.target_value})"
+        ]
+        for c in self.candidates:
+            shown = "-" if c.glue_value is None else str(c.glue_value)
+            out.append(f"  rank {c.rank}: glue {shown} -> {c.status}")
+        if self.deduced is None:
+            out.append("  no unique rank deduced")
+        else:
+            out.append(f"  deduced rank {u} = {self.deduced}")
+        return out
+
+
+@dataclass(frozen=True)
+class InferenceScan:
+    """Glue checks in degree order, up to the first that pins one candidate."""
+
+    checks: tuple[InferenceResult, ...]
+
+    @property
+    def passing(self) -> tuple[tuple[int | tuple[int, ...], bool], ...]:
+        """Each candidate's rank, and whether every check found it consistent."""
+        return tuple(
+            (c.rank, all(check.candidates[i].status == "consistent" for check in self.checks))
+            for i, c in enumerate(self.checks[0].candidates)
         )
 
-    scan_degrees = (8, 9, 10, 12)
-    enumeration: list[tuple[int, int, bool]] = []
-    for va in (4, 5):
-        for vb in (4, 5):
-            try:
-                mod = _with_nu_ranks(2, {5: va, 6: vb})
-            except ValidationError:
-                enumeration.append((va, vb, False))
-                continue
-            ws = synthesize_witnesses(mod, 0)
-            need = sorted({d for r in scan_degrees for d in (r, r - 1)})
-            vals = {
-                d: ker_coker(realize(build_split(d, mod, mod), ws, ws))
-                for d in need
-            }
-            ok = all(
-                target[r] == vals[r][1] + vals[r - 1][0] for r in scan_degrees
-            )
-            enumeration.append((va, vb, ok))
 
-    return TwoPlusTwoReport(
-        rows=tuple(rows),
-        chain_matches_recorded=chain_ok,
-        realized_off_chain=tuple(off_chain),
-        enumeration=tuple(enumeration),
-    )
+def _with_nu_ranks(g: int, replacements: dict[int, int]) -> GenusData:
+    """Canonical bundle with some nu ranks replaced."""
+    base = canonical_data(g)
+    ranks = {r: base.nu[r].rank for r in range(6 * g + 1)}
+    ranks.update(replacements)
+    return assemble_genus_data(g, ranks, base.constraints)
+
+
+def _glue_pairs(da: GenusData, dg: GenusData, wa: WitnessSet, wb: WitnessSet):
+    """(ker, cok) of the realised split by degree, each computed on first use."""
+
+    @lru_cache(maxsize=None)
+    def pair(r: int) -> tuple[int, int]:
+        return ker_coker(realize(build_split(r, da, dg), wa, wb))
+
+    return pair
+
+
+def infer_nu_ranks(
+    a: int, g: int, unknowns: dict[MapRef, tuple[int, ...] | None], degrees=None, seed: int = 0
+) -> InferenceScan:
+    """Deduce unrecorded nu ranks from the glue equations of the a+g split.
+
+    ``unknowns`` maps each open nu map to its candidate ranks, or to None
+    for 0..min(h_s, n_s).  Each combination of candidates goes into the
+    canonical bundles (infeasible if the mu and rho profiles rule it out),
+    is realised once, and is tested against h_r = |cok lambda_r| +
+    |ker lambda_{r-1}| at the glue degrees (by default all, 1..6(a+g)-3)
+    in order, stopping at the first where exactly one combination passes.
+    """
+    top = 6 * (a + g) - 3
+    degrees = range(1, top + 1) if degrees is None else list(degrees)
+    for r in degrees:
+        if not 1 <= r <= top:
+            raise ValidationError(f"glue degree {r} outside 1..{top} for the {a}+{g} split")
+    choices = []
+    for ref, ranks in unknowns.items():
+        if ref.family != "nu":
+            raise ValidationError("only nu ranks are open for inference")
+        if ref.genus not in (a, g):
+            raise ValidationError(f"unknown map lives at genus {ref.genus}, split is {a}+{g}")
+        if not 0 <= ref.degree <= 6 * ref.genus:
+            raise ValidationError(f"no map {ref.notation()}: degrees run 0..{6 * ref.genus}")
+        probe = canonical_data(ref.genus)
+        top_rank = min(probe.h[ref.degree], probe.nplus[ref.degree])
+        choices.append(range(top_rank + 1) if ranks is None else ranks)
+
+    bundles = []
+    for ranks in product(*choices):
+        rank = ranks[0] if len(ranks) == 1 else ranks
+        try:
+            data = {
+                k: _with_nu_ranks(k, {u.degree: v for u, v in zip(unknowns, ranks) if u.genus == k})
+                for k in {a, g}
+            }
+        except ValidationError:
+            bundles.append((rank, None))
+            continue
+        wits = {k: synthesize_witnesses(d, seed) for k, d in data.items()}
+        bundles.append((rank, _glue_pairs(data[a], data[g], wits[a], wits[g])))
+
+    target = mod2_table(a + g)
+    checks = []
+    for r in degrees:
+        verdicts = []
+        for rank, pair in bundles:
+            if pair is None:
+                verdicts.append(CandidateVerdict(rank, "infeasible", None))
+                continue
+            value = pair(r)[1] + pair(r - 1)[0]
+            status = "consistent" if value == target[r] else "inconsistent"
+            verdicts.append(CandidateVerdict(rank, status, value))
+        checks.append(InferenceResult((a, g), tuple(unknowns), r, target[r], tuple(verdicts)))
+        if checks[-1].deduced is not None:
+            break
+    return InferenceScan(tuple(checks))
+
+
+def infer_nu_rank(
+    a: int, g: int, unknown: MapRef, at_degree: int, seed: int = 0
+) -> InferenceResult:
+    """Deduce an unrecorded nu rank from the glue equation at one degree."""
+    return infer_nu_ranks(a, g, {unknown: None}, [at_degree], seed).checks[0]
 
 
 # ---------------------------------------------------------------------------

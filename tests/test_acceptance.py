@@ -14,7 +14,7 @@ from f2moduli.betti import (
     rational_table,
     total_rank_identity,
 )
-from f2moduli.cli import main
+from f2moduli.cli import _joint_scan22, _split22_document, main
 from f2moduli.f2la import BitMatrix, kernel_dim, rank, synth_with_rank
 from f2moduli.moduli import (
     MapRef,
@@ -33,8 +33,8 @@ from f2moduli.mv import (
     hypothesis_data,
     infer_nu_rank,
     ker_coker,
+    split_report,
     split_rows,
-    twoplustwo_report,
 )
 from f2moduli.serre import AlphaAction, genus2_ring, serre_betti
 
@@ -136,7 +136,7 @@ def test_criterion_07_forced_closed_forms():
 
 
 def test_criterion_08_recorded_splitting():
-    report = twoplustwo_report(seeds=(0,))
+    report = split_report(2, 2, seeds=(0,))
     for row in report.rows:
         ker, cok = row.recorded
         assert row.ker_interval[0] <= ker <= row.ker_interval[1], f"r={row.degree}"
@@ -149,7 +149,8 @@ def test_criterion_08_recorded_splitting():
     assert report.chain_matches_recorded
     pinned = [row.degree for row in report.rows if row.pinned]
     assert pinned and all(report.rows[r].verdict == "forced" for r in pinned)
-    assert any("forced" in line for line in report.lines())
+    lines = _split22_document(report, _joint_scan22(), []).text_lines
+    assert any("forced" in line for line in lines)
     _verdict(8, "recorded 2+2 rows sit in all windows, glue to the genus-4 table")
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from math import comb
 
 import pytest
@@ -171,3 +172,20 @@ def test_verify_theorem_flags_perturbation():
 def test_verify_theorem_rejects_wrong_genus():
     with pytest.raises(ValidationError, match="genus"):
         betti.verify_theorem(1, mod2_table(3))
+
+
+def test_tables_build_without_deep_recursion():
+    # a fresh high genus must not recurse once per genus below it
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    mod2_table.cache_clear()
+    rational_table.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        f2, q = mod2_table(150), rational_table(150)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert f2.check() == [] and q.check() == []
+    assert f2.values[: 2 * 150 - 1] == q.values[: 2 * 150 - 1]

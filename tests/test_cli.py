@@ -223,6 +223,13 @@ def test_mv_describe_dumps_edges(capsys):
     assert "dom[0,0]: dim" in out and "-> red[" in out
 
 
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_mv_rejects_samples_below_one(capsys, samples):
+    code, out, err = run(capsys, ["mv", "--split", "1+1", "--samples", samples])
+    assert (code, out) == (1, "")
+    assert "samples must be at least 1" in err
+
+
 def test_mv_samples_stable(capsys):
     code, out, _ = run(capsys, ["mv", "--split", "1+1", "--samples", "3"])
     assert code == 0
@@ -234,6 +241,17 @@ def test_mv_22_report(capsys):
     assert code == 0
     assert "chain matches the recorded rows" in out
     assert "(nu_5, nu_6) = (5, 5): passes" in out
+
+
+def test_mv_22_describe(capsys):
+    plain = run(capsys, ["mv", "--split", "2+2"])[1]
+    code, out, _ = run(capsys, ["mv", "--split", "2+2", "--describe"])
+    assert code == 0
+    assert out.startswith(plain)
+    assert "split 2+2 degree 0" in out and "split 2+2 degree 21" in out
+    code, out, _ = run(capsys, ["mv", "--split", "2+2", "--describe", "--format", "json"])
+    dumps = json.loads(out)["describe"]
+    assert len(dumps) == 22 and dumps[9][0] == "split 2+2 degree 9"
 
 
 def test_mv_22_json(capsys):
@@ -256,6 +274,23 @@ def test_infer_scan_finds_degree(capsys):
     assert code == 0
     assert "at degree 11" in out
     assert "deduced rank nu_9^2 = 1" in out
+
+
+@pytest.mark.parametrize(
+    "split,unknown,degree,message",
+    [
+        ("1+1", "nu_99^1", "3", "no map nu_99^1"),
+        ("1+1", "nu_7^1", "3", "no map nu_7^1"),
+        ("1+2", "nu_5^2", "400", "glue degree 400 outside 1..15"),
+        ("1+2", "nu_5^2", "0", "glue degree 0 outside 1..15"),
+        ("1+2", "nu_5^2", "16", "glue degree 16 outside 1..15"),
+    ],
+)
+def test_infer_rejects_what_does_not_exist(capsys, split, unknown, degree, message):
+    argv = ["infer", "--split", split, "--unknown", unknown, "--at-degree", degree]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert message in err
 
 
 def test_infer_fixed_degree_json(capsys):

@@ -4,6 +4,7 @@ import pytest
 from f2moduli import reference
 from f2moduli._witness import synthesize_witnesses
 from f2moduli.betti import m_coeff, mod2_table
+from f2moduli.cli import _joint_scan22, _split22_document
 from f2moduli.errors import NeedsConstraintError, ShapeError, ValidationError
 from f2moduli.f2la import BitMatrix, rank
 from f2moduli.moduli import MapRef, genus1_data, genus2_data
@@ -25,9 +26,9 @@ from f2moduli.mv import (
     ker_coker,
     kernel_with_intersection,
     realize,
+    split_report,
     split_rows,
     surjective_mode_kernel,
-    twoplustwo_report,
 )
 
 LAMBDA11_KER = (0, 0, 1, 0, 1, 0, 1, 0, 1, 0)
@@ -362,6 +363,10 @@ def test_inference_validates_unknown():
         infer_nu_rank(1, 1, MapRef("mu", 2, 1), 3)
     with pytest.raises(ValidationError, match="genus"):
         infer_nu_rank(1, 2, MapRef("nu", 2, 3), 3)
+    with pytest.raises(ValidationError, match="no map nu_99"):
+        infer_nu_rank(1, 1, MapRef("nu", 99, 1), 3)
+    with pytest.raises(ValidationError, match="outside 1..15"):
+        infer_nu_rank(1, 2, MapRef("nu", 5, 2), 400)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +376,12 @@ def test_inference_validates_unknown():
 
 @pytest.fixture(scope="module")
 def report22():
-    return twoplustwo_report(seeds=(0, 1))
+    return split_report(2, 2, seeds=(0, 1))
+
+
+@pytest.fixture(scope="module")
+def scan22():
+    return _joint_scan22()
 
 
 def test_chain_reproduces_recorded_rows(report22):
@@ -403,8 +413,8 @@ def test_glue_of_chain_recovers_genus4(report22):
     assert reference.SPLIT22_H4 == mod2_table(4).values
 
 
-def test_joint_scan_selects_recorded_ranks(report22):
-    outcome = {(a, b): ok for a, b, ok in report22.enumeration}
+def test_joint_scan_selects_recorded_ranks(scan22):
+    outcome = {(a, b): ok for (a, b), ok in scan22.passing}
     assert outcome == {(4, 4): False, (4, 5): False, (5, 4): False, (5, 5): True}
 
 
@@ -416,8 +426,8 @@ def test_report_verdicts(report22):
             assert row.ker_interval[0] == row.chain[0]
 
 
-def test_report_lines_render(report22):
-    text = "\n".join(report22.lines())
+def test_report_lines_render(report22, scan22):
+    text = "\n".join(_split22_document(report22, scan22, []).text_lines)
     assert "chain matches the recorded rows" in text
     assert "(nu_5, nu_6) = (5, 5): passes" in text
     assert text.count("\n") > 24
