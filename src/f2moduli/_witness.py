@@ -44,8 +44,7 @@ def _coordinate_map(dom: int, cod: int, zero_rows: set[int], image_cols: list[in
     alive = [i for i in range(dom) if i not in zero_rows]
     if len(alive) != len(image_cols):
         raise InfeasibleError("kernel and image selections disagree on the rank")
-    for row, col in zip(alive, image_cols):
-        dense[row, col] = 1
+    dense[alive, image_cols] = 1
     return BitMatrix.from_dense(dense)
 
 

@@ -1,9 +1,12 @@
 """Dense linear algebra over GF(2) with bit-packed rows.
 
 Matrices store each row as a strip of uint64 words, so row updates during
-Gaussian elimination are whole-word XORs.  All operations are pure: a
-``BitMatrix`` is never mutated after construction, and every routine that
-"modifies" a matrix returns a fresh one.
+Gaussian elimination are whole-word XORs.  Column j is bit j % 64 of word
+j // 64, packed and unpacked a whole array at a time by ``np.packbits``
+with little-endian bit and byte order, so the layout is the same on every
+platform.  All operations are pure: a ``BitMatrix`` is never mutated after
+construction, and every routine that "modifies" a matrix returns a fresh
+one.
 
 Elimination uses a fixed pivot order (leftmost unused column first, then
 topmost available row), which makes ranks, inverses and synthesized
@@ -40,6 +43,25 @@ def _words(cols: int) -> int:
     return max(1, (cols + WORD - 1) // WORD)
 
 
+def _pack(arr: np.ndarray) -> np.ndarray:
+    """Pack a 2-d array into rows of little-endian words; entry ``v`` is ``v & 1``.
+
+    Column j lands in bit j % 64 of word j // 64; each row is padded with
+    zero bytes to a whole number of words.
+    """
+    rows, cols = arr.shape
+    packed = np.packbits((arr & 1).astype(np.uint8, copy=False), axis=1, bitorder="little")
+    buf = np.zeros((rows, _words(cols) * (WORD // 8)), dtype=np.uint8)
+    buf[:, : packed.shape[1]] = packed
+    return buf.view("<u8")
+
+
+def _unpack(bits: np.ndarray, cols: int) -> np.ndarray:
+    """Inverse of :func:`_pack`: the first ``cols`` bits of each row, as uint8."""
+    octets = np.ascontiguousarray(bits, dtype="<u8").view(np.uint8)
+    return np.unpackbits(octets, axis=1, count=cols, bitorder="little")
+
+
 class BitMatrix:
     """Immutable GF(2) matrix of shape ``rows x cols``.
 
@@ -64,7 +86,8 @@ class BitMatrix:
                 raise ShapeError(
                     f"packed storage shape {bits.shape} does not match ({rows}, {nw})"
                 )
-            # Mask stray bits beyond the last valid column.
+            # Mask stray bits beyond the last valid column; block_assemble
+            # shifts whole words and relies on this padding being zero.
             rem = cols % WORD
             if rem and nw:
                 bits[:, -1] &= np.uint64((1 << rem) - 1)
@@ -80,55 +103,45 @@ class BitMatrix:
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
         bits = np.zeros((n, _words(n)), dtype=np.uint64)
-        for i in range(n):
-            bits[i, i // WORD] = np.uint64(1) << np.uint64(i % WORD)
+        i = np.arange(n)
+        bits[i, i // WORD] = np.uint64(1) << (i % WORD).astype(np.uint64)
         return cls(n, n, bits)
 
     @classmethod
     def from_rows(cls, data: Sequence[Iterable[int]], cols: int | None = None) -> "BitMatrix":
-        """Build from an iterable of 0/1 rows."""
-        rows = [list(r) for r in data]
+        """Build from an iterable of rows; an entry ``v`` sets its bit when ``v & 1``."""
+        rows = list(map(list, data))
         if cols is None:
             cols = len(rows[0]) if rows else 0
-        for i, r in enumerate(rows):
-            if len(r) != cols:
-                raise ShapeError(f"row {i} has length {len(r)}, expected {cols}")
-        bits = np.zeros((len(rows), _words(cols)), dtype=np.uint64)
-        for i, r in enumerate(rows):
-            for j, v in enumerate(r):
-                if v & 1:
-                    bits[i, j // WORD] |= np.uint64(1) << np.uint64(j % WORD)
-        return cls(len(rows), cols, bits)
+        lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+        ragged = np.flatnonzero(lengths != cols)
+        if ragged.size:
+            i = int(ragged[0])
+            raise ShapeError(f"row {i} has length {len(rows[i])}, expected {cols}")
+        # object dtype keeps Python's arbitrary-precision ``v & 1``
+        arr = np.array(rows, dtype=object).reshape(len(rows), cols)
+        return cls(len(rows), cols, _pack(arr))
 
     @classmethod
     def from_dense(cls, arr: np.ndarray) -> "BitMatrix":
+        """Build from a 2-d array; an entry ``v`` sets its bit when ``v & 1``."""
         arr = np.asarray(arr)
         if arr.ndim != 2:
             raise ShapeError(f"dense input must be 2-d, got shape {arr.shape}")
-        return cls.from_rows((arr & 1).tolist(), arr.shape[1])
+        return cls(arr.shape[0], arr.shape[1], _pack(arr))
 
     # -- views ---------------------------------------------------------
 
     def to_dense(self) -> np.ndarray:
         """Unpack to a uint8 array of 0/1 entries."""
-        out = np.zeros((self.rows, self.cols), dtype=np.uint8)
-        if self.cols:
-            idx = np.arange(self.cols)
-            w, b = idx // WORD, (idx % WORD).astype(np.uint64)
-            for i in range(self.rows):
-                out[i] = (self._bits[i, w] >> b) & np.uint64(1)
-        return out
+        return _unpack(self._bits, self.cols)
 
     def get(self, i: int, j: int) -> int:
         return int((self._bits[i, j // WORD] >> np.uint64(j % WORD)) & np.uint64(1))
 
     def row_support(self, i: int) -> list[int]:
         """Column indices of the nonzero entries in row ``i``."""
-        if not self.cols:
-            return []
-        idx = np.arange(self.cols)
-        vals = (self._bits[i, idx // WORD] >> (idx % WORD).astype(np.uint64)) & np.uint64(1)
-        return [int(j) for j in np.nonzero(vals)[0]]
+        return np.flatnonzero(_unpack(self._bits[i : i + 1], self.cols)).tolist()
 
     def is_zero(self) -> bool:
         return not self._bits.any()
@@ -241,7 +254,7 @@ def block_assemble(
     row_off = np.concatenate(([0], np.cumsum(row_dims))).astype(int)
     col_off = np.concatenate(([0], np.cumsum(col_dims))).astype(int)
     total_r, total_c = int(row_off[-1]), int(col_off[-1])
-    dense = np.zeros((total_r, total_c), dtype=np.uint8)
+    out = np.zeros((total_r, _words(total_c)), dtype=np.uint64)
     for (bi, bj), blk in blocks.items():
         if not (0 <= bi < len(row_dims) and 0 <= bj < len(col_dims)):
             raise ShapeError(f"block ({bi}, {bj}) outside the {len(row_dims)}x{len(col_dims)} grid")
@@ -250,8 +263,21 @@ def block_assemble(
                 f"block ({bi}, {bj}) is {blk.rows}x{blk.cols}, "
                 f"slot wants {row_dims[bi]}x{col_dims[bj]}"
             )
-        dense[row_off[bi] : row_off[bi + 1], col_off[bj] : col_off[bj + 1]] = blk.to_dense()
-    return BitMatrix.from_dense(dense)
+        if not blk.rows or not blk.cols:
+            continue
+        # OR the block's words in at its column offset; a shift that is not
+        # a multiple of the word size spills each word's top bits into the
+        # next word.  The block's padding bits are zero, so the spill past
+        # its last column never reaches a word outside the output.
+        rows = slice(row_off[bi], row_off[bi + 1])
+        w0, shift = divmod(int(col_off[bj]), WORD)
+        bits = blk._bits
+        n = bits.shape[1]
+        out[rows, w0 : w0 + n] |= bits << np.uint64(shift)
+        if shift:
+            end = min(w0 + 1 + n, out.shape[1])
+            out[rows, w0 + 1 : end] |= bits[:, : end - w0 - 1] >> np.uint64(WORD - shift)
+    return BitMatrix(total_r, total_c, out)
 
 
 def kron(a: BitMatrix, b: BitMatrix) -> BitMatrix:
@@ -313,8 +339,7 @@ def synth_with_rank(rows: int, cols: int, r: int, seed: int = 0) -> BitMatrix:
     if not (0 <= r <= min(rows, cols)):
         raise ShapeError(f"rank {r} impossible for a {rows}x{cols} matrix")
     canon = np.zeros((rows, cols), dtype=np.uint8)
-    for i in range(r):
-        canon[i, i] = 1
+    canon[np.arange(r), np.arange(r)] = 1
     base = BitMatrix.from_dense(canon)
     if seed == 0 or rows == 0 or cols == 0:
         return base

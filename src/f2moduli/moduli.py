@@ -124,6 +124,17 @@ class SideConstraint:
 # ---------------------------------------------------------------------------
 
 
+def _nplus_at(g: int, r: int, h: BettiTable) -> int:
+    """Half-space Betti number at degree r; zero outside degrees 0..6g."""
+    # m_coeff rejects a genus below 1, also for a degree outside the table
+    v = h[r - 2] + m_coeff(g, r) if r <= 3 * g + 1 else h[r - 2] - m_coeff(g, r + 1)
+    if not 0 <= r <= 6 * g:
+        return 0
+    if v < 0:
+        raise ValidationError(f"half-space formula went negative for genus {g}")
+    return v
+
+
 def nplus_betti(g: int, h: BettiTable | None = None) -> BettiTable:
     """Betti numbers of the half-space, degrees 0..6g.
 
@@ -131,15 +142,8 @@ def nplus_betti(g: int, h: BettiTable | None = None) -> BettiTable:
     value is h[r-2] - m_{r+1}.  The two branches agree at r = 3g+1.
     """
     h = h if h is not None else mod2_table(g)
-    values = []
-    for r in range(6 * g + 1):
-        if r <= 3 * g + 1:
-            values.append(h[r - 2] + m_coeff(g, r))
-        else:
-            values.append(h[r - 2] - m_coeff(g, r + 1))
-    if any(v < 0 for v in values):
-        raise ValidationError(f"half-space formula went negative for genus {g}")
-    return BettiTable(g, "F2", tuple(values), space="plus")
+    values = tuple(_nplus_at(g, r, h) for r in range(6 * g + 1))
+    return BettiTable(g, "F2", values, space="plus")
 
 
 def nhat_betti(g: int, h: BettiTable | None = None) -> BettiTable:
@@ -177,7 +181,7 @@ def mu_profile(g: int, r: int, h: BettiTable | None = None) -> MapProfile:
     half-space Betti number, rank fixed by the kernel formula."""
     h = h if h is not None else mod2_table(g)
     dom = h[r] + h[r - 2]
-    cod = nplus_betti(g, h)[r]
+    cod = _nplus_at(g, r, h)
     return MapProfile(rank=dom - mu_kernel_dim(g, r, h), dom=dom, cod=cod)
 
 
@@ -186,7 +190,7 @@ def rho_profile(g: int, r: int, h: BettiTable | None = None) -> MapProfile:
     from 3g+1 on (an isomorphism exactly where both hold)."""
     h = h if h is not None else mod2_table(g)
     dom = h[r - 2]
-    cod = nplus_betti(g, h)[r]
+    cod = _nplus_at(g, r, h)
     rank = dom if r <= 3 * g + 1 else cod
     return MapProfile(rank=rank, dom=dom, cod=cod)
 

@@ -62,6 +62,139 @@ def random_matrix(rng: np.random.Generator, rows: int, cols: int) -> BitMatrix:
 
 
 # ---------------------------------------------------------------------------
+# word-level packing
+# ---------------------------------------------------------------------------
+
+WORD_BOUNDARY_WIDTHS = [0, 1, 63, 64, 65, 127, 128, 129]
+
+
+def padding_bits(m: BitMatrix) -> np.ndarray:
+    """Every stored bit past the last column, one row per matrix row."""
+    octets = m._bits.astype("<u8").view(np.uint8)
+    return np.unpackbits(octets, axis=1, bitorder="little")[:, m.cols :]
+
+
+def check_packed(dense: np.ndarray, m: BitMatrix) -> None:
+    """``m`` holds ``dense`` bit j of row i in bit j % 64 of word j // 64."""
+    assert (m.rows, m.cols) == dense.shape
+    for i, row in enumerate(dense.tolist()):
+        mask = sum(v << j for j, v in enumerate(row))
+        words = [(mask >> (64 * k)) & (2**64 - 1) for k in range(m._bits.shape[1])]
+        assert [int(w) for w in m._bits[i]] == words
+        assert m.row_support(i) == [j for j, v in enumerate(row) if v]
+    assert not padding_bits(m).any()
+
+
+def round_trip(rows: int, cols: int, seed: int) -> None:
+    dense = np.random.default_rng(seed).integers(0, 2, size=(rows, cols), dtype=np.uint8)
+    m = BitMatrix.from_dense(dense)
+    out = m.to_dense()
+    assert out.dtype == np.uint8 and np.array_equal(out, dense)
+    check_packed(dense, m)
+    assert BitMatrix.from_rows(dense.tolist(), cols) == m
+
+
+@pytest.mark.parametrize("cols", WORD_BOUNDARY_WIDTHS)
+@given(st.integers(0, 5), st.integers(0, 2**32 - 1))
+@settings(max_examples=15)
+def test_dense_round_trip_at_word_boundaries(cols, rows, seed):
+    round_trip(rows, cols, seed)
+
+
+@given(st.integers(0, 5), st.integers(0, 300), st.integers(0, 2**32 - 1))
+@settings(max_examples=60)
+def test_dense_round_trip_random_width(rows, cols, seed):
+    round_trip(rows, cols, seed)
+
+
+@given(st.integers(0, 5), st.integers(0, 140), st.integers(0, 2**32 - 1))
+@settings(max_examples=40)
+def test_packing_reads_the_low_bit(rows, cols, seed):
+    arr = np.random.default_rng(seed).integers(0, 4, size=(rows, cols))
+    flags = arr.astype(bool)
+    assert BitMatrix.from_dense(arr) == BitMatrix.from_dense(arr & 1)
+    assert BitMatrix.from_dense(flags) == BitMatrix.from_dense(flags & 1)
+    assert BitMatrix.from_rows(arr.tolist(), cols) == BitMatrix.from_dense(arr & 1)
+
+
+def test_from_rows_rejects_ragged_rows():
+    with pytest.raises(ShapeError, match="row 2 has length 1, expected 2"):
+        BitMatrix.from_rows([[1, 0], [0, 1], [1]])
+
+
+@pytest.mark.parametrize("n", WORD_BOUNDARY_WIDTHS)
+def test_identity_matches_numpy(n):
+    m = BitMatrix.identity(n)
+    assert np.array_equal(m.to_dense(), np.eye(n, dtype=np.uint8))
+    assert not padding_bits(m).any()
+
+
+@given(st.integers(0, 140), st.integers(0, 140), st.integers(0, 2**32 - 1))
+@settings(max_examples=40)
+def test_transpose_matches_numpy(rows, cols, seed):
+    m = random_matrix(np.random.default_rng(seed), rows, cols)
+    t = m.transpose()
+    assert np.array_equal(t.to_dense(), m.to_dense().T)
+    assert not padding_bits(t).any()
+
+
+@given(
+    st.tuples(st.integers(0, 6), st.integers(0, 40)),
+    st.tuples(st.integers(0, 5), st.integers(0, 40)),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40)
+def test_kron_matches_numpy(shape_a, shape_b, seed):
+    rng = np.random.default_rng(seed)
+    a, b = random_matrix(rng, *shape_a), random_matrix(rng, *shape_b)
+    out = f2la.kron(a, b)
+    assert np.array_equal(out.to_dense(), np.kron(a.to_dense(), b.to_dense()))
+    assert not padding_bits(out).any()
+
+
+def assemble_both_ways(rng, row_dims, col_dims, fill):
+    """Random blocks assembled by block_assemble and by numpy slicing."""
+    row_off, col_off = np.cumsum([0, *row_dims]), np.cumsum([0, *col_dims])
+    dense = np.zeros((row_off[-1], col_off[-1]), dtype=np.uint8)
+    blocks = {}
+    for i, j in itertools.product(range(len(row_dims)), range(len(col_dims))):
+        if rng.random() < 0.7:
+            blk = fill(rng, row_dims[i], col_dims[j])
+            blocks[(i, j)] = BitMatrix.from_dense(blk)
+            dense[row_off[i] : row_off[i + 1], col_off[j] : col_off[j + 1]] = blk
+    return f2la.block_assemble(blocks, row_dims, col_dims), dense
+
+
+@given(
+    st.lists(st.integers(0, 12), min_size=1, max_size=3),
+    st.lists(st.integers(0, 150), min_size=1, max_size=4),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60)
+def test_block_assemble_matches_dense_reference(row_dims, col_dims, seed):
+    rng = np.random.default_rng(seed)
+    out, dense = assemble_both_ways(
+        rng, row_dims, col_dims, lambda r, n, k: r.integers(0, 2, size=(n, k), dtype=np.uint8)
+    )
+    assert np.array_equal(out.to_dense(), dense)
+    assert not padding_bits(out).any()
+
+
+@pytest.mark.parametrize(
+    "col_dims", [[1, 63, 1], [3, 64, 61, 130], [65, 127], [63, 2, 64], [7, 0, 121, 1]]
+)
+def test_block_assemble_spills_across_words(col_dims):
+    # all-ones blocks at column offsets that are not multiples of 64 set
+    # every bit that a word shift carries into the next word
+    rng = np.random.default_rng(31)
+    out, dense = assemble_both_ways(
+        rng, [3, 2], col_dims, lambda r, n, k: np.ones((n, k), dtype=np.uint8)
+    )
+    assert np.array_equal(out.to_dense(), dense)
+    assert not padding_bits(out).any()
+
+
+# ---------------------------------------------------------------------------
 # rank and kernel
 # ---------------------------------------------------------------------------
 

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from f2moduli import reference
-from f2moduli.betti import m_coeff, mod2_table
+from f2moduli.betti import BettiTable, m_coeff, mod2_table
 from f2moduli.errors import ValidationError
 from f2moduli.moduli import (
     Diagnostic,
@@ -84,6 +84,27 @@ def test_mu_profile_examples():
     assert mu_profile(2, 3).notation() == "4_5^4"
     assert mu_profile(2, 6).notation() == "5_10^11"
     assert mu_profile(1, 5).notation() == "0_1^0"
+
+
+@pytest.mark.parametrize("g", range(1, 11))
+def test_profiles_read_the_halfspace_table(g):
+    h = mod2_table(g)
+    plus = nplus_betti(g, h)
+    for r in range(6 * g + 1):
+        assert mu_profile(g, r, h).cod == plus[r], f"mu at degree {r}"
+        assert rho_profile(g, r, h).cod == plus[r], f"rho at degree {r}"
+        assert mu_profile(g, r).cod == rho_profile(g, r).cod == plus[r]
+
+
+def test_negative_halfspace_entry_rejected():
+    # h[3] = 0 makes the half-space entry h[3] - m_6 at degree 5 equal -1
+    h = BettiTable(1, "F2", (1, 0, 1, 0))
+    with pytest.raises(ValidationError, match="half-space formula went negative"):
+        nplus_betti(1, h)
+    with pytest.raises(ValidationError, match="half-space formula went negative"):
+        rho_profile(1, 5, h)
+    with pytest.raises(ValidationError, match="half-space formula went negative"):
+        mu_profile(1, 5, h)
 
 
 # ---------------------------------------------------------------------------
