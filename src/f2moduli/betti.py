@@ -243,9 +243,6 @@ class TheoremReport:
     def failures(self) -> list[str]:
         return [name for name, ok, _ in self.items if not ok]
 
-    def lines(self) -> list[str]:
-        return [f"{'ok  ' if ok else 'FAIL'} {name}: {detail}" for name, ok, detail in self.items]
-
 
 def verify_theorem(g: int, candidate: BettiTable) -> TheoremReport:
     """Check a genus g+1 framed mod-2 table against the recursion bounds.

@@ -32,15 +32,13 @@ from .betti import (
 from .errors import InconsistencyError
 from .moduli import (
     MapRef,
-    genus1_data,
-    genus2_data,
     mu_profile,
     nhat_betti,
     nplus_betti,
     reference_diagnostics,
     rho_profile,
 )
-from .mv import describe, infer_nu_ranks, split_report
+from .mv import canonical_data, describe, infer_nu_ranks, split_report
 from .ringdata import alpha_ranks_from_tables
 from .serre import genus2_ring, load_alpha_profile, serre_betti
 
@@ -94,11 +92,6 @@ def _table_for(field: str, g: int) -> BettiTable:
     return mod2_table(g) if field == "F2" else rational_table(g)
 
 
-def _half_len(g: int) -> int:
-    # listed degrees 0..3g-2; the rest follow from h_r = h_{6g-3-r}
-    return 3 * g - 1
-
-
 _DUALITY_NOTE = "remaining degrees follow from the duality h_r = h_(6g-3-r)"
 
 
@@ -132,8 +125,8 @@ def cmd_tables(args) -> int:
     for f in fields:
         cols[f] = {}
         for g in genera:
-            vals = list(_table_for(f, g).values)
-            cols[f][g] = vals if args.full else vals[: _half_len(g)]
+            table = _table_for(f, g)
+            cols[f][g] = list(table.values if args.full else table.half())
     depth = max(len(v) for f in fields for v in cols[f].values())
 
     payload = {
@@ -195,7 +188,7 @@ def cmd_nplus(args) -> int:
 
 def cmd_profiles(args) -> int:
     g = args.genus
-    data = genus1_data() if g == 1 else genus2_data()
+    data = canonical_data(g)
     boxed = reference.GENUS1_BOXED_NU if g == 1 else reference.GENUS2_BOXED_NU
     rows = []
     jrows = []
@@ -235,8 +228,6 @@ def cmd_serre(args) -> int:
         action = load_alpha_profile(args.ring_file)
         source = str(args.ring_file)
     else:
-        if args.genus != 2:
-            raise ValueError("only the genus-2 ring is built in; pass --ring-file")
         action = genus2_ring()
         source = "builtin genus-2 ring"
     table = serre_betti(action)
@@ -287,7 +278,7 @@ def _row_fields(row) -> dict:
     }
 
 
-def _split_rows_document(report, dumps: list[list[str]]) -> OutputDocument:
+def _split_report_document(report, dumps: list[list[str]]) -> OutputDocument:
     a, g = report.split
     seed = report.seeds[0]
     rows, jrows = [], []
@@ -406,7 +397,7 @@ def cmd_mv(args) -> int:
     report = split_report(a, g, seeds, None if args.degree is None else [args.degree])
     dumps = [describe(row.diagram) for row in report.rows] if args.describe else []
     if report.chain_matches_recorded is None:
-        doc = _split_rows_document(report, dumps)
+        doc = _split_report_document(report, dumps)
     else:
         # recorded rows (the 2+2 split) come with the joint scan of their open arrows
         doc = _split22_document(report, _joint_scan22(), dumps)
@@ -458,7 +449,7 @@ def _verify_checks(max_genus: int):
     bad = ""
     for g in range(1, min(top, 6) + 1):
         for field, golden in (("F2", reference.F2_HALF), ("Q", reference.Q_HALF)):
-            got = _table_for(field, g).values[: _half_len(g)]
+            got = _table_for(field, g).half()
             if got != golden[g]:
                 ok, bad = False, f"{field} g={g}: {got} != {golden[g]}"
                 break
@@ -630,8 +621,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_profiles)
 
     p = sub.add_parser("serre", parents=[fmt], help="evaluate a ring profile")
-    p.add_argument("--genus", type=_genus, default=2)
-    p.add_argument("--ring-file", metavar="PATH", default=None)
+    p.add_argument(
+        "--ring-file", metavar="PATH", default=None,
+        help="alpha profile JSON, which sets the genus (default: the built-in genus-2 ring)",
+    )
     p.set_defaults(func=cmd_serre)
 
     p = sub.add_parser("mv", parents=[fmt], help="split diagram rows")

@@ -28,7 +28,7 @@ from itertools import product
 
 from . import reference
 from .betti import BettiTable, m_coeff, mod2_table
-from .errors import InfeasibleError, NeedsConstraintError, ShapeError, ValidationError
+from .errors import NeedsConstraintError, ShapeError, ValidationError
 from ._witness import WitnessSet, synthesize_witnesses
 from .f2la import (
     BitMatrix,
@@ -57,9 +57,7 @@ __all__ = [
     "describe",
     "ker_coker",
     "eliminate",
-    "split_rows",
     "glue_from_rows",
-    "first_mismatch",
     "is_forced_degree",
     "closed_form_ker_coker",
     "kernel_with_intersection",
@@ -70,7 +68,6 @@ __all__ = [
     "SplitReport",
     "split_report",
     "infer_nu_ranks",
-    "infer_nu_rank",
     "InferenceScan",
     "InferenceResult",
     "CandidateVerdict",
@@ -279,18 +276,6 @@ def glue_from_rows(rows: dict[int, tuple[int, int]], genus: int) -> BettiTable:
     return BettiTable(genus, "F2", values, space="framed")
 
 
-def first_mismatch(got, want) -> int | None:
-    """Index of the first disagreement between two tables, else None."""
-    a = tuple(got.values if isinstance(got, BettiTable) else got)
-    b = tuple(want.values if isinstance(want, BettiTable) else want)
-    for i in range(max(len(a), len(b))):
-        x = a[i] if i < len(a) else 0
-        y = b[i] if i < len(b) else 0
-        if x != y:
-            return i
-    return None
-
-
 # ---------------------------------------------------------------------------
 # closed forms for the 1+g split
 # ---------------------------------------------------------------------------
@@ -374,37 +359,19 @@ def surjective_mode_kernel(g: int, r: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-_HYPOTHESIS_MODES = ("max-rank", "first-half-surjective")
-
-
-def hypothesis_data(g: int, mode: str = "max-rank") -> GenusData:
+def hypothesis_data(g: int) -> GenusData:
     """A conjectural bundle for genera with no recorded ranks.
 
-    "max-rank" posits rank nu_r = min(h_r, n_r) at every degree; the
-    recorded genus-1 and genus-2 ranks all satisfy this.  The surjectivity
-    conjecture is phrased over the first half of the degrees, so
-    "first-half-surjective" demands rank nu_r = n_r for r < 3g - 3 and
-    falls back to the maximum beyond; wherever n_r <= h_r in the first
-    half the two modes coincide.  For g >= 3 both are working hypotheses,
-    not theorems; treat anything derived from them accordingly.
+    It posits the maximum, rank nu_r = min(h_r, n_r), at every degree.
+    The recorded genus-1 and genus-2 ranks all satisfy this, and it is
+    surjective through the first half of the degrees, since n_r <= h_r
+    for r < 3g - 3 at every genus from 1 to 15.  For g >= 3 this is a
+    working hypothesis, not a theorem; treat anything derived from it
+    accordingly.
     """
-    if mode not in _HYPOTHESIS_MODES:
-        raise ValidationError(
-            f"unknown hypothesis mode {mode!r}; supported: {', '.join(_HYPOTHESIS_MODES)}"
-        )
     h = mod2_table(g)
     np_table = nplus_betti(g)
-    ranks = {}
-    for r in range(6 * g + 1):
-        if mode == "first-half-surjective" and r < 3 * g - 3:
-            if np_table[r] > h[r]:
-                raise InfeasibleError(
-                    f"nu_{r} cannot be surjective: codomain {np_table[r]} "
-                    f"exceeds domain {h[r]}"
-                )
-            ranks[r] = np_table[r]
-        else:
-            ranks[r] = min(h[r], np_table[r])
+    ranks = {r: min(h[r], np_table[r]) for r in range(6 * g + 1)}
     return assemble_genus_data(g, ranks)
 
 
@@ -504,11 +471,6 @@ def _rank_bounds(diag: Diagram, da: GenusData, dg: GenusData) -> tuple[int, int]
     return lo, hi
 
 
-def split_rows(da: GenusData, dg: GenusData, degrees=None, seed: int = 0) -> dict:
-    """(kernel, cokernel) of the realised comparison map, per degree."""
-    return {row.degree: row.realized[seed] for row in _report(da, dg, (seed,), degrees).rows}
-
-
 def split_report(a: int, g: int, seeds=(0,), degrees=None) -> SplitReport:
     """Everything the a+g split of the canonical bundles determines.
 
@@ -517,11 +479,7 @@ def split_report(a: int, g: int, seeds=(0,), degrees=None) -> SplitReport:
     chain, the recorded row and the verdict.
     """
     da = canonical_data(a)
-    return _report(da, da if a == g else canonical_data(g), seeds, degrees)
-
-
-def _report(da: GenusData, dg: GenusData, seeds, degrees) -> SplitReport:
-    a, g = da.genus, dg.genus
+    dg = da if a == g else canonical_data(g)
     n = 6 * (a + g) - 2
     degrees = list(range(n)) if degrees is None else list(degrees)
     for r in degrees:
@@ -706,13 +664,6 @@ def infer_nu_ranks(
         if checks[-1].deduced is not None:
             break
     return InferenceScan(tuple(checks))
-
-
-def infer_nu_rank(
-    a: int, g: int, unknown: MapRef, at_degree: int, seed: int = 0
-) -> InferenceResult:
-    """Deduce an unrecorded nu rank from the glue equation at one degree."""
-    return infer_nu_ranks(a, g, {unknown: None}, [at_degree], seed).checks[0]
 
 
 # ---------------------------------------------------------------------------

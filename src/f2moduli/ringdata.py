@@ -22,7 +22,7 @@ import json
 from math import comb
 from pathlib import Path
 
-from .betti import BettiTable, mod2_table
+from .betti import mod2_table
 from .errors import ValidationError
 from .serre import AlphaAction, serre_betti
 
@@ -30,7 +30,6 @@ __all__ = [
     "base_dims",
     "alpha_ranks_from_tables",
     "write_profile",
-    "framed_table_from_ring",
 ]
 
 
@@ -135,8 +134,3 @@ def write_profile(path: str | Path, g: int) -> AlphaAction:
     }
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return action
-
-
-def framed_table_from_ring(g: int) -> BettiTable:
-    """Convenience: derive the profile and run the Gysin bookkeeping."""
-    return serre_betti(alpha_ranks_from_tables(g))

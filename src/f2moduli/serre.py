@@ -131,6 +131,15 @@ def genus2_ring() -> AlphaAction:
 _PROFILE_KEYS = {"genus", "dims", "alpha_ranks", "alpha_matrices"}
 
 
+def _is_int(v) -> bool:
+    # JSON true/false parse to bool, which Python counts as int
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_int_list(v) -> bool:
+    return isinstance(v, list) and all(_is_int(x) for x in v)
+
+
 def load_alpha_profile(source: str | Path | dict) -> AlphaAction:
     """Read an alpha profile from JSON (path or already-parsed dict).
 
@@ -153,15 +162,20 @@ def load_alpha_profile(source: str | Path | dict) -> AlphaAction:
     if missing:
         raise ValidationError(f"alpha profile missing keys: {sorted(missing)}")
     g = data["genus"]
-    if not isinstance(g, int):
+    if not _is_int(g):
         raise ValidationError("genus must be an integer")
+    if not (_is_int_list(data["dims"]) and _is_int_list(data["alpha_ranks"])):
+        raise ValidationError("dims and alpha_ranks must be integer lists")
     dims = tuple(data["dims"])
     ranks = tuple(data["alpha_ranks"])
-    if not all(isinstance(v, int) for v in dims + ranks):
-        raise ValidationError("dims and alpha_ranks must be integer lists")
     action = AlphaAction(genus=g, dims=dims, ranks=ranks)  # shape check first
     if "alpha_matrices" in data:
         flat = data["alpha_matrices"]
+        if not (
+            isinstance(flat, list)
+            and all(_is_int_list(e) and set(e) <= {0, 1} for e in flat)
+        ):
+            raise ValidationError("alpha_matrices must be a list of 0/1 integer lists")
         if len(flat) != len(ranks):
             raise ValidationError(
                 f"need {len(ranks)} matrices, got {len(flat)}"

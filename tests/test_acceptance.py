@@ -30,11 +30,9 @@ from f2moduli.mv import (
     closed_form_ker_coker,
     eliminate,
     glue_from_rows,
-    hypothesis_data,
-    infer_nu_rank,
+    infer_nu_ranks,
     ker_coker,
     split_report,
-    split_rows,
 )
 from f2moduli.serre import AlphaAction, genus2_ring, serre_betti
 
@@ -111,23 +109,25 @@ def test_criterion_05_boundary_profiles(capsys):
     _verdict(5, "recorded mu/rho rows match; the r=5 divergence is a named note")
 
 
+def _rows(a, g, seed=0):
+    return {row.degree: row.realized[seed] for row in split_report(a, g, (seed,)).rows}
+
+
 def test_criterion_06_small_split_suite():
-    d1 = genus1_data()
-    rows = split_rows(d1, d1)
+    rows = _rows(1, 1)
     want_cok_ker = {0: (1, 0), 1: (0, 0), 2: (1, 1), 3: (4, 0)}
     for r, (cok, ker) in want_cok_ker.items():
         assert rows[r] == (ker, cok), f"degree {r}"
     assert rows[4][1] == 5  # cokernel recorded; the kernel column is open there
     assert glue_from_rows(rows, 2).values == mod2_table(2).values
     for seed in range(1, 21):
-        assert split_rows(d1, d1, seed=seed) == rows, f"seed {seed}"
+        assert _rows(1, 1, seed) == rows, f"seed {seed}"
     _verdict(6, "1+1 rows exact, glue to genus 2, stable over 20 witness seeds")
 
 
 def test_criterion_07_forced_closed_forms():
-    d1 = genus1_data()
-    for g, dg in ((2, genus2_data()), (3, hypothesis_data(3))):
-        rows = split_rows(d1, dg)
+    for g in (2, 3):
+        rows = _rows(1, g)
         for r in range(6 * (1 + g) - 2):
             cf = closed_form_ker_coker(g, r)
             if cf is not None:
@@ -162,7 +162,7 @@ def test_criterion_09_unique_deductions():
         (1, 2, MapRef("nu", 9, 2), 11, "iso"),
     ]
     for a, g, unknown, at, shape in cases:
-        res = infer_nu_rank(a, g, unknown, at)
+        res = infer_nu_ranks(a, g, {unknown: None}, [at]).checks[0]
         assert res.deduced == 1, f"{unknown.notation()}"
         data = genus1_data() if unknown.genus == 1 else genus2_data()
         prof = data.nu[unknown.degree]

@@ -191,6 +191,43 @@ def test_serre_genus3_without_file_exits_1(capsys):
     assert run(capsys, ["serre", "--genus", "3"])[0] == 1
 
 
+def test_serre_has_no_genus_flag(capsys, tmp_path):
+    # the genus comes from the ring file, or is 2 for the built-in ring
+    from f2moduli.ringdata import write_profile
+
+    path = tmp_path / "g2.json"
+    write_profile(path, 2)
+    assert run(capsys, ["serre", "--genus", "2"])[0] == 1
+    assert run(capsys, ["serre", "--ring-file", str(path), "--genus", "7"])[0] == 1
+
+
+_G2_PROFILE = {"genus": 2, "dims": [1, 0, 1, 4, 1, 0, 1], "alpha_ranks": [1, 0, 0, 0, 1]}
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"dims": 5},
+        {"alpha_ranks": 5},
+        {"alpha_ranks": None},
+        {"alpha_matrices": 5},
+        {"alpha_matrices": [5, 5, 5, 5, 5]},
+        {"alpha_matrices": [[300], [], [0], [], [1]]},
+        # a well-formed genus-1 profile, but for the genus
+        {"genus": True, "dims": [1], "alpha_ranks": []},
+    ],
+    ids=["dims-int", "ranks-int", "ranks-null", "matrices-int", "matrices-of-ints",
+         "matrix-entry-300", "genus-bool"],
+)
+def test_serre_malformed_ring_file_exits_1(capsys, tmp_path, change):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**_G2_PROFILE, **change}))
+    code, out, err = run(capsys, ["serre", "--ring-file", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # mv
 # ---------------------------------------------------------------------------

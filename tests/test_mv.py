@@ -17,17 +17,15 @@ from f2moduli.mv import (
     closed_form_ker_coker,
     describe,
     eliminate,
-    first_mismatch,
     glue_from_rows,
     hypothesis_data,
-    infer_nu_rank,
+    infer_nu_ranks,
     interpret_constraints,
     is_forced_degree,
     ker_coker,
     kernel_with_intersection,
     realize,
     split_report,
-    split_rows,
     surjective_mode_kernel,
 )
 
@@ -45,14 +43,19 @@ def d2():
     return genus2_data()
 
 
-@pytest.fixture(scope="module")
-def rows11(d1):
-    return split_rows(d1, d1)
+def _rows(a, g, seed=0, degrees=None):
+    """(ker, cok) of the realised a+g split per degree, for one witness seed."""
+    return {row.degree: row.realized[seed] for row in split_report(a, g, (seed,), degrees).rows}
 
 
 @pytest.fixture(scope="module")
-def rows12(d1, d2):
-    return split_rows(d1, d2)
+def rows11():
+    return _rows(1, 1)
+
+
+@pytest.fixture(scope="module")
+def rows12():
+    return _rows(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -70,13 +73,13 @@ def test_lambda11_glue_gives_genus2(rows11):
 
 
 @pytest.mark.parametrize("seed", range(1, 21))
-def test_rows_independent_of_witness_seed(seed, d1, rows11):
-    assert split_rows(d1, d1, seed=seed) == rows11
+def test_rows_independent_of_witness_seed(seed, rows11):
+    assert _rows(1, 1, seed) == rows11
 
 
-def test_rows12_independent_of_witness_seed(d1, d2, rows12):
+def test_rows12_independent_of_witness_seed(rows12):
     for seed in (1, 7, 40):
-        assert split_rows(d1, d2, seed=seed) == rows12
+        assert _rows(1, 2, seed) == rows12
 
 
 def test_lone_lower_dot(d1):
@@ -148,20 +151,12 @@ def test_glue_missing_degree_raises(rows11):
         glue_from_rows(partial, 2)
 
 
-def test_first_mismatch():
-    assert first_mismatch((1, 2, 3), (1, 2, 3)) is None
-    assert first_mismatch((1, 2, 3), (1, 5, 3)) == 1
-    assert first_mismatch((1, 2), (1, 2, 7)) == 2
-    assert first_mismatch(mod2_table(2), mod2_table(2)) is None
-
-
 def test_glue12_gives_genus3(rows12):
     assert glue_from_rows(rows12, 3).values == mod2_table(3).values
 
 
-def test_glue13_gives_genus4(d1):
-    d3 = hypothesis_data(3)
-    rows = split_rows(d1, d3)
+def test_glue13_gives_genus4():
+    rows = _rows(1, 3)
     assert glue_from_rows(rows, 4).values == mod2_table(4).values
 
 
@@ -261,9 +256,8 @@ def test_closed_forms_match_realized_genus2(rows12):
             assert cf == rows12[r], f"degree {r}"
 
 
-def test_closed_forms_match_realized_genus3(d1):
-    d3 = hypothesis_data(3)
-    rows = split_rows(d1, d3)
+def test_closed_forms_match_realized_genus3():
+    rows = _rows(1, 3)
     for r in range(22):
         cf = closed_form_ker_coker(3, r)
         if cf is not None:
@@ -280,9 +274,8 @@ def test_kernel_with_intersection(rows12):
     assert kernel_with_intersection(2, 11, 3) == 7
 
 
-def test_kernel_with_intersection_higher(d1):
-    d3 = hypothesis_data(3)
-    rows = split_rows(d1, d3, degrees=[14])
+def test_kernel_with_intersection_higher():
+    rows = _rows(1, 3, degrees=[14])
     assert kernel_with_intersection(3, 14, 0) == rows[14][0] == 16
 
 
@@ -310,18 +303,6 @@ def test_hypothesis_ranks_are_max(d2):
             assert d.nu[r].rank == min(d.h[r], d.nplus[r])
 
 
-def test_hypothesis_mode_checked():
-    with pytest.raises(ValidationError, match="max-rank"):
-        hypothesis_data(3, mode="pessimist")
-
-
-@pytest.mark.parametrize("g", range(1, 7))
-def test_hypothesis_modes_coincide(g):
-    # surjectivity through the first half never asks for more than the
-    # maximum allows, so the two conjecture readings agree
-    assert hypothesis_data(g, "first-half-surjective") == hypothesis_data(g)
-
-
 def test_canonical_data_dispatch():
     assert canonical_data(1).constraints != ()
     assert canonical_data(2).constraints != ()
@@ -333,13 +314,18 @@ def test_canonical_data_dispatch():
 # ---------------------------------------------------------------------------
 
 
+def _infer(a, g, unknown, at):
+    """The glue check of one unknown nu rank at one degree."""
+    return infer_nu_ranks(a, g, {unknown: None}, [at]).checks[0]
+
+
 @pytest.mark.parametrize(
     "a,g,degree,at",
     [(1, 1, 2, 3), (1, 1, 3, 4), (1, 2, 2, 3), (1, 2, 9, 11)],
 )
 def test_unique_rank_deductions(a, g, degree, at):
     unknown = MapRef("nu", degree, g)
-    res = infer_nu_rank(a, g, unknown, at)
+    res = _infer(a, g, unknown, at)
     assert res.deduced == 1
     statuses = {c.rank: c.status for c in res.candidates}
     assert statuses[0] == "inconsistent"
@@ -352,7 +338,7 @@ def test_deduced_degrees_are_the_recorded_boxes():
 
 
 def test_inference_lines_render():
-    res = infer_nu_rank(1, 1, MapRef("nu", 2, 1), 3)
+    res = _infer(1, 1, MapRef("nu", 2, 1), 3)
     text = "\n".join(res.lines())
     assert "deduced rank nu_2^1 = 1" in text
     assert "rank 0: glue 7 -> inconsistent" in text
@@ -360,13 +346,13 @@ def test_inference_lines_render():
 
 def test_inference_validates_unknown():
     with pytest.raises(ValidationError, match="only nu"):
-        infer_nu_rank(1, 1, MapRef("mu", 2, 1), 3)
+        _infer(1, 1, MapRef("mu", 2, 1), 3)
     with pytest.raises(ValidationError, match="genus"):
-        infer_nu_rank(1, 2, MapRef("nu", 2, 3), 3)
+        _infer(1, 2, MapRef("nu", 2, 3), 3)
     with pytest.raises(ValidationError, match="no map nu_99"):
-        infer_nu_rank(1, 1, MapRef("nu", 99, 1), 3)
+        _infer(1, 1, MapRef("nu", 99, 1), 3)
     with pytest.raises(ValidationError, match="outside 1..15"):
-        infer_nu_rank(1, 2, MapRef("nu", 5, 2), 400)
+        _infer(1, 2, MapRef("nu", 5, 2), 400)
 
 
 # ---------------------------------------------------------------------------
