@@ -28,6 +28,7 @@ GOLDEN = [
     ("infer_1+1_nu_2^1_degree3.md", "infer --split 1+1 --unknown nu_2^1 --at-degree 3", 0),
     ("infer_2+2_nu_5^2.json", "infer --split 2+2 --unknown nu_5^2 --format json", 0),
     ("verify_6.json", "verify --max-genus 6 --format json", 0),
+    ("verify_2.md", "verify --max-genus 2", 0),
     ("serre.json", "serre --format json", 0),
     ("tables_6.json", "tables --max-genus 6 --format json", 0),
     ("profiles_2.json", "profiles --genus 2 --format json", 0),
