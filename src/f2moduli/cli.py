@@ -20,27 +20,12 @@ import sys
 from dataclasses import dataclass
 
 from . import reference
-from .betti import (
-    BettiTable,
-    m_coeff,
-    middle_closed_form,
-    mod2_table,
-    rational_table,
-    total_rank_identity,
-    verify_theorem,
-)
+from .betti import BettiTable, mod2_table, rational_table
 from .errors import InconsistencyError
-from .moduli import (
-    MapRef,
-    mu_profile,
-    nhat_betti,
-    nplus_betti,
-    reference_diagnostics,
-    rho_profile,
-)
-from .mv import canonical_data, describe, infer_nu_ranks, split_report
-from .ringdata import alpha_ranks_from_tables
+from .moduli import MapRef, nhat_betti, nplus_betti, reference_diagnostics
+from .mv import canonical_data, describe, infer_nu_ranks, joint_scan22, split_report
 from .serre import genus2_ring, load_alpha_profile, serre_betti
+from .verify import run_checks
 
 __all__ = ["main", "OutputDocument"]
 
@@ -385,12 +370,6 @@ def _split22_document(report, scan, dumps: list[list[str]]) -> OutputDocument:
     return OutputDocument(payload, None, text)
 
 
-def _joint_scan22():
-    # the two genus-2 arrows whose rank the 2+2 bookkeeping itself had to pin down
-    unknowns = {MapRef("nu", 5, 2): (4, 5), MapRef("nu", 6, 2): (4, 5)}
-    return infer_nu_ranks(2, 2, unknowns, (8, 9, 10, 12))
-
-
 def cmd_mv(args) -> int:
     a, g = args.split
     seeds = range(args.seed, args.seed + args.samples)
@@ -400,7 +379,7 @@ def cmd_mv(args) -> int:
         doc = _split_report_document(report, dumps)
     else:
         # recorded rows (the 2+2 split) come with the joint scan of their open arrows
-        doc = _split22_document(report, _joint_scan22(), dumps)
+        doc = _split22_document(report, joint_scan22(), dumps)
     _emit(args, doc)
     return 0 if report.ok else 2
 
@@ -439,109 +418,8 @@ def cmd_infer(args) -> int:
     return 0
 
 
-def _verify_checks(max_genus: int):
-    """Yield (name, ok, detail) verification items plus informational notes."""
-    checks: list[tuple[str, bool, str]] = []
-    notes: list[str] = []
-    top = max_genus
-
-    ok = True
-    bad = ""
-    for g in range(1, min(top, 6) + 1):
-        for field, golden in (("F2", reference.F2_HALF), ("Q", reference.Q_HALF)):
-            got = _table_for(field, g).half()
-            if got != golden[g]:
-                ok, bad = False, f"{field} g={g}: {got} != {golden[g]}"
-                break
-    checks.append(("golden-half-tables", ok, bad or f"g=1..{min(top, 6)} both fields"))
-
-    ok = all(
-        (lambda t: t[0] == t[1] == t[2])(total_rank_identity(g)) for g in range(1, top + 1)
-    )
-    checks.append(("total-rank-identity", ok, f"g=1..{top}"))
-
-    ok = True
-    for g in range(2, top + 1):
-        h = mod2_table(g)
-        want = middle_closed_form(g)
-        if any(h[r] != want for r in range(3 * g - 3, 3 * g + 1)):
-            ok = False
-            break
-    checks.append(("middle-closed-form", ok, f"four middle degrees, g=2..{top}"))
-
-    ok = all(verify_theorem(g, mod2_table(g + 1)).all_pass for g in range(1, top))
-    checks.append(("recursion-steps", ok, f"g -> g+1 for g=1..{top - 1}"))
-
-    tweaked = list(mod2_table(3).values)
-    tweaked[5] += 1
-    rep = verify_theorem(2, BettiTable(3, "F2", tuple(tweaked), space="framed"))
-    checks.append(
-        ("perturbation-flagged", not rep.all_pass, "one-off candidate is rejected")
-    )
-
-    ok = True
-    for g in range(2, top + 1):
-        f2, q = mod2_table(g), rational_table(g)
-        if any(f2[r] != q[r] for r in range(2 * g - 1)) or f2[2 * g - 1] != q[2 * g - 1] + 1:
-            ok = False
-            break
-    checks.append(("field-comparison", ok, f"agree below 2g-1, +1 at 2g-1, g=2..{top}"))
-
-    ok = True
-    for g in range(1, top + 1):
-        h = mod2_table(g)
-        rel = nhat_betti(g, h)
-        for r in range(6 * g + 1):
-            cok = mu_profile(g, r, h).cokernel
-            ker = mu_profile(g, r - 1, h).kernel if r >= 1 else 0
-            rcok = rho_profile(g, r, h).cokernel
-            rker = rho_profile(g, r - 1, h).kernel if r >= 1 else 0
-            if cok + ker != rel[r] or rcok + rker != m_coeff(g, r):
-                ok = False
-    checks.append(("halfspace-bookkeeping", ok, f"mu and rho ladders, g=1..{top}"))
-
-    diags = reference_diagnostics()
-    errors = [d for d in diags if d.level == "error"]
-    for d in diags:
-        if d.level == "info":
-            notes.append(f"{d.name}: {d.message}")
-    checks.append(
-        (
-            "recorded-profile-rows",
-            not errors,
-            "formulas reproduce the recorded genus-1/2 rows"
-            if not errors
-            else f"unexplained divergences: {[d.name for d in errors]}",
-        )
-    )
-
-    ok = serre_betti(genus2_ring()).values == mod2_table(2).values
-    checks.append(("ring-evaluation", ok, "genus-2 ring reproduces the table"))
-
-    ok = all(
-        serre_betti(alpha_ranks_from_tables(g)).values == mod2_table(g).values
-        for g in range(1, min(top, 6) + 1)
-    )
-    checks.append(("derived-ring-profiles", ok, f"round-trip g=1..{min(top, 6)}"))
-
-    split11, split12 = split_report(1, 1), split_report(1, 2)
-    ok = split11.glue_matches and split12.glue_matches
-    checks.append(("split-gluing", ok, "1+1 and 1+2 rows glue to the next table"))
-    checks.append(
-        ("split-closed-forms", split12.closed_forms_hold, "forced 1+2 degrees match realisations")
-    )
-
-    report = split_report(2, 2)
-    ok = report.chain_matches_recorded and not report.realized_off_chain
-    checks.append(
-        ("recorded-splitting-rows", ok, "2+2 chain and realisation agree with records")
-    )
-
-    return checks, notes
-
-
 def cmd_verify(args) -> int:
-    checks, notes = _verify_checks(args.max_genus)
+    checks, notes = run_checks(args.max_genus)
     failed = [name for name, ok, _ in checks if not ok]
     payload = {
         "command": "verify",

@@ -68,6 +68,7 @@ __all__ = [
     "SplitReport",
     "split_report",
     "infer_nu_ranks",
+    "joint_scan22",
     "InferenceScan",
     "InferenceResult",
     "CandidateVerdict",
@@ -664,6 +665,12 @@ def infer_nu_ranks(
         if checks[-1].deduced is not None:
             break
     return InferenceScan(tuple(checks))
+
+
+def joint_scan22() -> InferenceScan:
+    """The joint scan of (nu_5, nu_6) at genus 2, the arrows the 2+2 rows pin down."""
+    unknowns = {MapRef("nu", 5, 2): (4, 5), MapRef("nu", 6, 2): (4, 5)}
+    return infer_nu_ranks(2, 2, unknowns, (8, 9, 10, 12))
 
 
 # ---------------------------------------------------------------------------

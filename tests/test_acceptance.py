@@ -14,7 +14,7 @@ from f2moduli.betti import (
     rational_table,
     total_rank_identity,
 )
-from f2moduli.cli import _joint_scan22, _split22_document, main
+from f2moduli.cli import _split22_document, main
 from f2moduli.f2la import BitMatrix, kernel_dim, rank, synth_with_rank
 from f2moduli.moduli import (
     MapRef,
@@ -31,6 +31,7 @@ from f2moduli.mv import (
     eliminate,
     glue_from_rows,
     infer_nu_ranks,
+    joint_scan22,
     ker_coker,
     split_report,
 )
@@ -149,7 +150,7 @@ def test_criterion_08_recorded_splitting():
     assert report.chain_matches_recorded
     pinned = [row.degree for row in report.rows if row.pinned]
     assert pinned and all(report.rows[r].verdict == "forced" for r in pinned)
-    lines = _split22_document(report, _joint_scan22(), []).text_lines
+    lines = _split22_document(report, joint_scan22(), []).text_lines
     assert any("forced" in line for line in lines)
     _verdict(8, "recorded 2+2 rows sit in all windows, glue to the genus-4 table")
 

@@ -4,7 +4,7 @@ import pytest
 from f2moduli import reference
 from f2moduli._witness import synthesize_witnesses
 from f2moduli.betti import m_coeff, mod2_table
-from f2moduli.cli import _joint_scan22, _split22_document
+from f2moduli.cli import _split22_document
 from f2moduli.errors import NeedsConstraintError, ShapeError, ValidationError
 from f2moduli.f2la import BitMatrix, rank
 from f2moduli.moduli import MapRef, genus1_data, genus2_data
@@ -22,6 +22,7 @@ from f2moduli.mv import (
     infer_nu_ranks,
     interpret_constraints,
     is_forced_degree,
+    joint_scan22,
     ker_coker,
     kernel_with_intersection,
     realize,
@@ -367,7 +368,7 @@ def report22():
 
 @pytest.fixture(scope="module")
 def scan22():
-    return _joint_scan22()
+    return joint_scan22()
 
 
 def test_chain_reproduces_recorded_rows(report22):
