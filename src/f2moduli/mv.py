@@ -72,8 +72,6 @@ __all__ = [
     "InferenceScan",
     "InferenceResult",
     "CandidateVerdict",
-    "ConstraintReading",
-    "interpret_constraints",
 ]
 
 Label = tuple
@@ -671,130 +669,3 @@ def joint_scan22() -> InferenceScan:
     """The joint scan of (nu_5, nu_6) at genus 2, the arrows the 2+2 rows pin down."""
     unknowns = {MapRef("nu", 5, 2): (4, 5), MapRef("nu", 6, 2): (4, 5)}
     return infer_nu_ranks(2, 2, unknowns, (8, 9, 10, 12))
-
-
-# ---------------------------------------------------------------------------
-# side-constraint interpretation
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConstraintReading:
-    label: str
-    reading: str
-    description: str
-    applies: bool
-    computed: int | None
-    stated: int
-    holds: bool | None
-
-
-def _composite_kernel(ws: WitnessSet, s: int) -> int | None:
-    """ker of nu_{s+2} then rho_{s+2}^-1 then nu_s, when rho is invertible."""
-    r_mat = ws.rho[s + 2]
-    if r_mat.rows != r_mat.cols or rank(r_mat) != r_mat.rows:
-        return None
-    route = compose(compose(ws.nu[s + 2], inverse(r_mat)), ws.nu[s])
-    return route.rows - rank(route)
-
-
-def interpret_constraints(data: GenusData, ws: WitnessSet) -> list[ConstraintReading]:
-    """All defensible readings of the recorded side constraints.
-
-    The records are kept exactly as written, so some do not type-check as
-    stated; each gets a literal reading (marked inapplicable where the
-    operands share no space) plus whichever corrected readings make
-    sense, with the value each one actually takes on the witnesses.
-    """
-    out: list[ConstraintReading] = []
-    for c in data.constraints:
-        if c.kind == "image-containment":
-            m1, m2 = c.operands
-            s = m1.degree
-            contained = int(rank(ws.mu(s)) == rank(ws.rho[s]))
-            out.append(
-                ConstraintReading(
-                    c.label,
-                    "literal",
-                    f"im {m1.notation()} inside im {m2.notation()}",
-                    True,
-                    contained,
-                    c.value,
-                    contained == c.value,
-                )
-            )
-        elif c.kind == "composite-kernel":
-            m1, _, m3 = c.operands
-            s = m1.degree
-            computed = _composite_kernel(ws, s)
-            applies = computed is not None
-            out.append(
-                ConstraintReading(
-                    c.label,
-                    "literal",
-                    f"ker of the route {m3.notation()} backwards through the shared "
-                    f"codomain and out along {m1.notation()}",
-                    applies,
-                    computed,
-                    c.value,
-                    (computed == c.value) if applies else None,
-                )
-            )
-        elif c.kind == "kernel-intersection":
-            m1, m2 = c.operands
-            s = m1.degree
-            if m2.genus != data.genus:
-                out.append(
-                    ConstraintReading(
-                        c.label,
-                        "literal",
-                        f"{m2.notation()} is recorded at genus {m2.genus}: no shared "
-                        f"domain with {m1.notation()}",
-                        False,
-                        None,
-                        c.value,
-                        None,
-                    )
-                )
-            elif m2.family == "mu":
-                out.append(
-                    ConstraintReading(
-                        c.label,
-                        "literal",
-                        f"ker {m2.notation()} lives in a larger space than "
-                        f"ker {m1.notation()}; only restrictions can meet",
-                        False,
-                        None,
-                        c.value,
-                        None,
-                    )
-                )
-            if m2.degree == s + 2:
-                shared = ws.kernel_intersection(s)
-                note = (
-                    f"reading {m2.notation()} as the genus-{data.genus} map on the "
-                    f"domain shared with {m1.notation()}"
-                )
-                out.append(
-                    ConstraintReading(
-                        c.label, "shared-domain", note, True, shared, c.value,
-                        shared == c.value,
-                    )
-                )
-                route = _composite_kernel(ws, s)
-                if route is not None:
-                    out.append(
-                        ConstraintReading(
-                            c.label,
-                            "composite-route",
-                            "ker of the degree-(s+2) map pulled back through the "
-                            "shared codomain and pushed out at degree s",
-                            True,
-                            route,
-                            c.value,
-                            route == c.value,
-                        )
-                    )
-        else:  # pragma: no cover
-            raise ValidationError(f"no interpreter for constraint kind {c.kind!r}")
-    return out

@@ -4,7 +4,8 @@ Each check compares independently computed results: the published half
 tables against the recursion, the recursion against its closed forms and
 its own step checker, the half-space bookkeeping against the boundary-map
 profiles, the ring evaluation against the tables, and the split diagrams
-against the joined tables and the recorded 2+2 rows.
+against the joined tables and the recorded 2+2 rows.  The recorded
+genus-1/2 side constraints are evaluated on the witness matrices.
 """
 
 from __future__ import annotations
@@ -19,12 +20,83 @@ from .betti import (
     total_rank_identity,
     verify_theorem,
 )
-from .moduli import mu_profile, nhat_betti, reference_diagnostics, rho_profile
+from ._witness import WitnessSet, synthesize_witnesses
+from .f2la import compose, inverse, rank
+from .moduli import (
+    GenusData,
+    genus1_data,
+    genus2_data,
+    mu_profile,
+    nhat_betti,
+    reference_diagnostics,
+    rho_profile,
+)
 from .mv import split_report
 from .ringdata import alpha_ranks_from_tables
 from .serre import genus2_ring, serre_betti
 
-__all__ = ["run_checks"]
+__all__ = ["run_checks", "check_side_constraints", "constraint_readings"]
+
+
+def _composite_kernel(ws: WitnessSet, s: int) -> int | None:
+    """ker of nu_{s+2} then rho_{s+2}^-1 then nu_s, when rho_{s+2} is invertible."""
+    r_mat = ws.rho[s + 2]
+    if r_mat.rows != r_mat.cols or rank(r_mat) != r_mat.rows:
+        return None
+    route = compose(compose(ws.nu[s + 2], inverse(r_mat)), ws.nu[s])
+    return route.rows - rank(route)
+
+
+def constraint_readings(data: GenusData) -> list[tuple[str, str, int, int]]:
+    """(label, reading, value on the seed-0 witnesses, recorded value) per reading.
+
+    The records are kept as written, and some do not type-check as
+    stated.  An image containment or a composite kernel is read
+    literally.  A kernel intersection of nu_s with a degree-(s+2) map is
+    read on the domain nu_s shares with rho_{s+2} ("shared-domain"), and
+    as the kernel of the route through their shared codomain
+    ("composite-route") where rho_{s+2} is invertible.  A reading whose
+    operands share no space is not built.
+    """
+    ws = synthesize_witnesses(data)
+    out = []
+    for c in data.constraints:
+        s = c.operands[0].degree
+        if c.kind == "image-containment":
+            readings = {"literal": int(rank(ws.mu(s)) == rank(ws.rho[s]))}
+        elif c.kind == "composite-kernel":
+            readings = {"literal": _composite_kernel(ws, s)}
+        elif c.operands[1].degree == s + 2:
+            readings = {
+                "shared-domain": ws.kernel_intersection(s),
+                "composite-route": _composite_kernel(ws, s),
+            }
+        else:
+            readings = {}
+        out += [(c.label, name, got, c.value) for name, got in readings.items() if got is not None]
+    return out
+
+
+def check_side_constraints(bundles) -> tuple[tuple[str, bool, str], list[str]]:
+    """The recorded-side-constraints check over ``bundles``, and its notes.
+
+    It passes when every recorded constraint holds in at least one of its
+    readings; each reading that does not hold becomes a note.
+    """
+    readings = [item for data in bundles for item in constraint_readings(data)]
+    held = {label for label, _, got, want in readings if got == want}
+    missed = [c.label for data in bundles for c in data.constraints if c.label not in held]
+    notes = [
+        f"{label}: {reading} reading gives {got} on the witnesses, recorded value is {want}"
+        for label, reading, got, want in readings
+        if got != want
+    ]
+    detail = (
+        "each recorded genus-1/2 constraint holds in some reading"
+        if not missed
+        else f"no reading holds for {missed}"
+    )
+    return ("recorded-side-constraints", not missed, detail), notes
 
 
 def run_checks(max_genus: int) -> tuple[list[tuple[str, bool, str]], list[str]]:
@@ -105,6 +177,10 @@ def run_checks(max_genus: int) -> tuple[list[tuple[str, bool, str]], list[str]]:
             else f"unexplained divergences: {[d.name for d in errors]}",
         )
     )
+
+    check, side_notes = check_side_constraints((genus1_data(), genus2_data()))
+    checks.append(check)
+    notes += side_notes
 
     ok = serre_betti(genus2_ring()).values == mod2_table(2).values
     checks.append(("ring-evaluation", ok, "genus-2 ring reproduces the table"))

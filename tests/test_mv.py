@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,6 @@ from f2moduli.mv import (
     glue_from_rows,
     hypothesis_data,
     infer_nu_ranks,
-    interpret_constraints,
     is_forced_degree,
     joint_scan22,
     ker_coker,
@@ -29,6 +30,7 @@ from f2moduli.mv import (
     split_report,
     surjective_mode_kernel,
 )
+from f2moduli.verify import check_side_constraints, constraint_readings
 
 LAMBDA11_KER = (0, 0, 1, 0, 1, 0, 1, 0, 1, 0)
 LAMBDA11_COK = (1, 0, 1, 4, 5, 4, 5, 0, 0, 0)
@@ -426,32 +428,44 @@ def test_report_lines_render(report22, scan22):
 
 
 def test_genus2_constraint_readings(d2):
-    ws = synthesize_witnesses(d2)
-    readings = interpret_constraints(d2, ws)
-    by_key = {(r.label, r.reading): r for r in readings}
+    readings = {(label, reading): (got, want) for label, reading, got, want in constraint_readings(d2)}
 
-    literal3 = by_key[("genus2-step3", "literal")]
-    assert not literal3.applies and literal3.holds is None
+    # mu_5^2 has a larger domain than nu_3^2: no literal reading is built
+    assert ("genus2-step3", "literal") not in readings
 
-    shared3 = by_key[("genus2-step3", "shared-domain")]
-    assert shared3.computed == 0 and shared3.holds is False
+    got, want = readings[("genus2-step3", "shared-domain")]
+    assert got == 0 and got != want
 
-    route3 = by_key[("genus2-step3", "composite-route")]
-    assert route3.computed == 1 and route3.holds is True
+    got, want = readings[("genus2-step3", "composite-route")]
+    assert got == 1 and got == want
 
-    composite = by_key[("genus2-step3-composite", "literal")]
-    assert composite.computed == 1 and composite.holds is True
+    got, want = readings[("genus2-step3-composite", "literal")]
+    assert got == 1 and got == want
 
-    literal4 = by_key[("genus2-step4", "literal")]
-    assert not literal4.applies
+    # rho_8^1 is recorded at genus 1: no domain shared with nu_6^2
+    assert ("genus2-step4", "literal") not in readings
 
-    shared4 = by_key[("genus2-step4", "shared-domain")]
-    assert shared4.computed == 0 and shared4.holds is True
+    got, want = readings[("genus2-step4", "shared-domain")]
+    assert got == 0 and got == want
 
 
 def test_genus1_constraint_readings(d1):
-    ws = synthesize_witnesses(d1)
-    readings = interpret_constraints(d1, ws)
+    readings = constraint_readings(d1)
     assert len(readings) == 1
-    r = readings[0]
-    assert r.reading == "literal" and r.holds is True
+    label, reading, got, want = readings[0]
+    assert reading == "literal" and got == want
+
+
+def test_side_constraint_check_names_a_broken_record(d1, d2):
+    check, notes = check_side_constraints((d1, d2))
+    assert check == (
+        "recorded-side-constraints", True, "each recorded genus-1/2 constraint holds in some reading"
+    )
+    assert notes == [
+        "genus2-step3: shared-domain reading gives 0 on the witnesses, recorded value is 1"
+    ]
+
+    step4 = [replace(c, value=1) if c.label == "genus2-step4" else c for c in d2.constraints]
+    name, ok, detail = check_side_constraints((d1, replace(d2, constraints=tuple(step4))))[0]
+    assert name == "recorded-side-constraints" and not ok
+    assert "genus2-step4" in detail and "genus2-step3" not in detail
