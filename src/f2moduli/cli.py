@@ -316,6 +316,11 @@ def _split_report_document(report, dumps: list[list[str]]) -> OutputDocument:
             if report.glue_matches
             else f"glued table DIVERGES from the genus-{a + g} recursion values"
         )
+    if report.hypothesis_genera:
+        payload["hypothesis_genera"] = list(report.hypothesis_genera)
+        genera = ", ".join(str(k) for k in report.hypothesis_genera)
+        text.append("")
+        text.append(f"genus {genera}: max-rank hypothesis bundle (hypothesis_data), not recorded ranks")
     return OutputDocument(payload, csv_rows, text)
 
 

@@ -374,13 +374,13 @@ def hypothesis_data(g: int) -> GenusData:
     return assemble_genus_data(g, ranks)
 
 
+# the genera with recorded ranks; every other genus rests on the hypothesis
+_RECORDED = {1: genus1_data, 2: genus2_data}
+
+
 def canonical_data(g: int) -> GenusData:
     """Recorded bundles for genus 1 and 2, max-rank hypothesis beyond."""
-    if g == 1:
-        return genus1_data()
-    if g == 2:
-        return genus2_data()
-    return hypothesis_data(g)
+    return _RECORDED[g]() if g in _RECORDED else hypothesis_data(g)
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +427,7 @@ class SplitReport:
     glue_matches: bool | None  # the first seed's rows glue to the joined table
     chain_matches_recorded: bool | None
     realized_off_chain: tuple[int, ...]  # degrees where a realisation leaves the chain
+    hypothesis_genera: tuple[int, ...]  # pieces whose bundle is hypothesis_data
 
     @property
     def ok(self) -> bool:
@@ -525,6 +526,7 @@ def split_report(a: int, g: int, seeds=(0,), degrees=None) -> SplitReport:
         realized_off_chain=tuple(
             row.degree for row in rows if covered and set(row.realized.values()) != {row.chain}
         ),
+        hypothesis_genera=tuple(sorted({a, g} - _RECORDED.keys())),
     )
 
 

@@ -249,6 +249,17 @@ def test_mv_single_degree_json(capsys):
     assert payload["glue_matches"] is None
 
 
+def test_mv_names_hypothesis_genera(capsys):
+    code, out, _ = run(capsys, ["mv", "--split", "2+3"])
+    assert code == 2
+    assert out.splitlines()[-1].startswith("genus 3: max-rank hypothesis")
+    code, out, _ = run(capsys, ["mv", "--split", "1+4", "--degree", "3", "--format", "json"])
+    assert json.loads(out)["hypothesis_genera"] == [4]
+    for split in ("1+2", "2+2"):
+        code, out, _ = run(capsys, ["mv", "--split", split, "--degree", "3", "--format", "json"])
+        assert "hypothesis_genera" not in json.loads(out)
+
+
 def test_mv_degree_out_of_range(capsys):
     assert run(capsys, ["mv", "--split", "1+1", "--degree", "40"])[0] == 1
 
