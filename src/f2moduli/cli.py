@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 from . import reference
 from .betti import BettiTable, mod2_table, rational_table
-from .errors import InconsistencyError
 from .moduli import MapRef, nhat_betti, nplus_betti, reference_diagnostics
 from .mv import canonical_data, describe, infer_nu_ranks, joint_scan22, split_report
 from .serre import genus2_ring, load_alpha_profile, serre_betti
@@ -543,9 +542,6 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         return args.func(args)
-    except InconsistencyError as exc:
-        print(f"inconsistency: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

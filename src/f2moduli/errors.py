@@ -13,11 +13,3 @@ class ValidationError(ValueError):
 
 class InfeasibleError(ValueError):
     """No witness exists for the requested rank/constraint combination."""
-
-
-class NeedsConstraintError(ValueError):
-    """A formula requires a side constraint that was not supplied."""
-
-
-class InconsistencyError(ValueError):
-    """Two independently computed quantities disagree."""

@@ -143,9 +143,6 @@ class BitMatrix:
         """Column indices of the nonzero entries in row ``i``."""
         return np.flatnonzero(_unpack(self._bits[i : i + 1], self.cols)).tolist()
 
-    def is_zero(self) -> bool:
-        return not self._bits.any()
-
     def transpose(self) -> "BitMatrix":
         return BitMatrix.from_dense(self.to_dense().T)
 

@@ -28,7 +28,7 @@ from itertools import product
 
 from . import reference
 from .betti import BettiTable, m_coeff, mod2_table
-from .errors import NeedsConstraintError, ShapeError, ValidationError
+from .errors import ShapeError, ValidationError
 from ._witness import WitnessSet, synthesize_witnesses
 from .f2la import (
     BitMatrix,
@@ -60,8 +60,6 @@ __all__ = [
     "glue_from_rows",
     "is_forced_degree",
     "closed_form_ker_coker",
-    "kernel_with_intersection",
-    "surjective_mode_kernel",
     "canonical_data",
     "hypothesis_data",
     "SplitRow",
@@ -313,43 +311,6 @@ def closed_form_ker_coker(g: int, r: int) -> tuple[int, int] | None:
         out = (h[r - 1] + m(r), 2 * h[r - 3] + h[r - 4] - m(r - 1))
     if min(out) < 0:
         raise ValidationError(f"closed form went negative at degree {r}")
-    return out
-
-
-def kernel_with_intersection(g: int, r: int, delta: int | None = None) -> int:
-    """|ker lambda_r| in the upper band at r = 2 mod 3, for a 1+g split.
-
-    These degrees are not forced: the kernel is m_{r-2} + h_{r-1} plus
-    the dimension ``delta`` of a kernel intersection the profiles do not
-    determine.  Calling without delta raises; pass 0 for the generic
-    (transverse) position.
-    """
-    if r < 3 * g + 4 or r % 3 != 2:
-        raise ValidationError(f"degree {r} is not an upper-band open degree")
-    if delta is None:
-        raise NeedsConstraintError(
-            "kernel at this degree depends on an undetermined intersection; "
-            "pass delta (0 for transverse position)"
-        )
-    if delta < 0:
-        raise ValidationError("delta must be nonnegative")
-    h = mod2_table(g)
-    return m_coeff(g, r - 2) + h[r - 1] + delta
-
-
-def surjective_mode_kernel(g: int, r: int) -> int:
-    """|ker lambda_r| at open lower-band degrees, assuming full surjectivity.
-
-    For r = 0 mod 3 with 0 < r <= 3g the profiles leave the rank open; if
-    the degree-(r-1) boundary map of the genus-g piece is as surjective
-    as its profile allows, the kernel is h_{r-1} - m_{r-1} - m_{r-3}.
-    """
-    if r % 3 != 0 or not 0 < r <= 3 * g:
-        raise ValidationError(f"degree {r} is not an open lower-band degree")
-    h = mod2_table(g)
-    out = h[r - 1] - m_coeff(g, r - 1) - m_coeff(g, r - 3)
-    if out < 0:
-        raise ValidationError(f"surjective-mode kernel went negative at degree {r}")
     return out
 
 

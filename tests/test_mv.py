@@ -7,7 +7,7 @@ from f2moduli import reference
 from f2moduli._witness import synthesize_witnesses
 from f2moduli.betti import m_coeff, mod2_table
 from f2moduli.cli import _split22_document
-from f2moduli.errors import NeedsConstraintError, ShapeError, ValidationError
+from f2moduli.errors import ShapeError, ValidationError
 from f2moduli.f2la import BitMatrix, rank
 from f2moduli.moduli import MapRef, genus1_data, genus2_data
 from f2moduli.mv import (
@@ -25,10 +25,8 @@ from f2moduli.mv import (
     is_forced_degree,
     joint_scan22,
     ker_coker,
-    kernel_with_intersection,
     realize,
     split_report,
-    surjective_mode_kernel,
 )
 from f2moduli.verify import check_side_constraints, constraint_readings
 
@@ -46,9 +44,9 @@ def d2():
     return genus2_data()
 
 
-def _rows(a, g, seed=0, degrees=None):
+def _rows(a, g, seed=0):
     """(ker, cok) of the realised a+g split per degree, for one witness seed."""
-    return {row.degree: row.realized[seed] for row in split_report(a, g, (seed,), degrees).rows}
+    return {row.degree: row.realized[seed] for row in split_report(a, g, (seed,)).rows}
 
 
 @pytest.fixture(scope="module")
@@ -265,30 +263,6 @@ def test_closed_forms_match_realized_genus3():
         cf = closed_form_ker_coker(3, r)
         if cf is not None:
             assert cf == rows[r], f"degree {r}"
-
-
-def test_kernel_with_intersection(rows12):
-    with pytest.raises(NeedsConstraintError):
-        kernel_with_intersection(2, 11)
-    with pytest.raises(ValidationError):
-        kernel_with_intersection(2, 10, 0)
-    assert kernel_with_intersection(2, 11, 0) == 4
-    assert kernel_with_intersection(2, 11, 0) == rows12[11][0]
-    assert kernel_with_intersection(2, 11, 3) == 7
-
-
-def test_kernel_with_intersection_higher():
-    rows = _rows(1, 3, degrees=[14])
-    assert kernel_with_intersection(3, 14, 0) == rows[14][0] == 16
-
-
-def test_surjective_mode_kernel(rows11, rows12):
-    assert surjective_mode_kernel(1, 3) == 0 == rows11[3][0]
-    assert surjective_mode_kernel(2, 6) == 1 == rows12[6][0]
-    with pytest.raises(ValidationError):
-        surjective_mode_kernel(2, 5)
-    with pytest.raises(ValidationError):
-        surjective_mode_kernel(2, 9)
 
 
 # ---------------------------------------------------------------------------
