@@ -6,7 +6,8 @@ Subpackages:
 * :mod:`f2moduli.betti` Betti-number tables and the genus recursions
 * :mod:`f2moduli.moduli` boundary-inclusion map profiles for the framed spaces
 * :mod:`f2moduli.serre` spectral-sequence evaluation of framed Betti numbers
-* :mod:`f2moduli.mv` Mayer-Vietoris diagram calculus and constraint inference
+* :mod:`f2moduli.mv` Mayer-Vietoris diagram calculus
+* :mod:`f2moduli.verify` the cross-check suite, including the recorded side constraints
 * :mod:`f2moduli.cli` command line front end
 """
 

@@ -104,8 +104,8 @@ class SideConstraint:
     ``composite-kernel`` (kernel dimension of the left-to-right composite
     of the operands, inverting where needed).  Operands keep the exact
     degree and genus superscripts they were recorded with, even where
-    those do not type-check; interpretation is deferred to the diagram
-    module, which reports the plausible readings.
+    those do not type-check; :mod:`f2moduli.verify` evaluates the
+    plausible readings and reports them.
     """
 
     kind: str
@@ -294,8 +294,8 @@ def genus2_data() -> GenusData:
     The constraints are stored exactly as recorded.  The two
     kernel-intersection records carry superscripts that do not obviously
     type-check (one names mu at degree 5, the other names rho at degree 8
-    with genus superscript 1); the diagram module reports the plausible
-    readings rather than silently correcting them.
+    with genus superscript 1); :mod:`f2moduli.verify` reports the
+    plausible readings rather than silently correcting them.
     """
     nu_ranks = {r: row[4][0] for r, row in reference.GENUS2_ROWS.items()}
     constraints = (
