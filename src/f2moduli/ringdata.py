@@ -19,6 +19,7 @@ input.
 from __future__ import annotations
 
 import json
+from itertools import accumulate
 from math import comb
 from pathlib import Path
 
@@ -33,49 +34,22 @@ __all__ = [
 ]
 
 
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _poly_sub(a: list[int], b: list[int]) -> list[int]:
-    n = max(len(a), len(b))
-    return [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
-
-
-def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
-    """Ascending-power division; raises if the remainder is nonzero."""
-    num = list(num)
-    q = [0] * (len(num) - len(den) + 1)
-    for i in range(len(q)):
-        c = num[i]
-        if c % den[0]:
-            raise ValidationError("division is not exact")
-        q[i] = c // den[0]
-        if q[i]:
-            for j, dj in enumerate(den):
-                num[i + j] -= q[i] * dj
-    if any(num):
-        raise ValidationError("division left a remainder")
-    return q
-
-
 def base_dims(g: int) -> tuple[int, ...]:
     """Betti numbers of the genus-g base, degrees 0 .. 6g-6."""
     if g < 1:
         raise ValidationError("genus must be at least 1")
-    cubes = [comb(2 * g, k // 3) if k % 3 == 0 else 0 for k in range(6 * g + 1)]
-    shifted = [0] * (2 * g) + [comb(2 * g, k) for k in range(2 * g + 1)]
-    num = _poly_sub(cubes, shifted)
-    den = _poly_mul([1, 0, -1], [1, 0, 0, 0, -1])  # (1 - t^2)(1 - t^4)
-    dims = _poly_divide_exact(num, den)
-    while dims and dims[-1] == 0:
-        dims.pop()
-    if len(dims) != 6 * g - 5 or any(d < 0 for d in dims):
+    # the numerator, then dividing by 1 - t^2 and by 1 - t^4 as running sums
+    series = [
+        (comb(2 * g, k // 3) if k % 3 == 0 else 0) - (comb(2 * g, k - 2 * g) if k >= 2 * g else 0)
+        for k in range(6 * g + 1)
+    ]
+    for step in (2, 4):
+        for i in range(step):
+            series[i::step] = accumulate(series[i::step])
+    dims = series[: 6 * g - 5]
+    if any(series[6 * g - 5 :]):
+        raise ValidationError(f"division left a remainder for genus {g}")
+    if dims[-1] == 0 or any(d < 0 for d in dims):
         raise ValidationError(f"base dims came out malformed for genus {g}")
     return tuple(dims)
 
