@@ -12,10 +12,14 @@ interaction matter to any diagram built from these maps:
 
 The synthesiser picks coordinate subspaces realising those numbers (seed
 0, the canonical witness) and then conjugates by seeded random invertible
-transforms, one per domain and one per codomain, so that every seed
-yields a different but equally valid realisation.  Quantities that are
-honest consequences of the recorded data must therefore agree across
-seeds; anything that varies with the seed is genuinely undetermined.
+transforms, D_s on each domain and C_r on each codomain.  Every seed
+therefore gives nu_seed = D nu_0 C and rho_seed = D rho_0 C, and the same
+conjugation carries over to mu, the kernel intersections, composite
+routes and every split diagram built from them.  Their ranks cannot
+depend on the seed: agreement across seeds checks the dense linear
+algebra, not whether the records determine a number.  The choices the
+records leave open (the k_s inside their windows) are made the same way
+at every seed, through ``kernel_overrides``.
 """
 
 from __future__ import annotations
@@ -75,10 +79,6 @@ class WitnessSet:
             {(0, 0): n, (0, 1): p}, [n.rows], [n.cols, p.cols]
         )
         return side.rows - rank(side)
-
-    def image_overlap(self, r: int) -> int:
-        """dim(im nu_r intersect im rho_r) inside the shared codomain."""
-        return rank(self.nu[r]) + rank(self.rho[r]) - rank(self.mu(r))
 
     def check(self) -> list[str]:
         """Recompute every profiled rank; returns the list of failures."""

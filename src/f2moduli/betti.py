@@ -240,9 +240,6 @@ class TheoremReport:
     def all_pass(self) -> bool:
         return all(ok for _, ok, _ in self.items)
 
-    def failures(self) -> list[str]:
-        return [name for name, ok, _ in self.items if not ok]
-
 
 def verify_theorem(g: int, candidate: BettiTable) -> TheoremReport:
     """Check a genus g+1 framed mod-2 table against the recursion bounds.

@@ -27,13 +27,11 @@ WORD = 64
 __all__ = [
     "BitMatrix",
     "rank",
-    "kernel_dim",
     "compose",
     "add",
     "block_assemble",
     "kron",
     "inverse",
-    "synth_with_rank",
     "random_invertible",
     "rng_for",
 ]
@@ -66,8 +64,8 @@ class BitMatrix:
     """Immutable GF(2) matrix of shape ``rows x cols``.
 
     The packed storage is an internal detail; use :meth:`from_dense`,
-    :meth:`to_dense`, :meth:`from_rows` and indexing helpers instead of
-    touching ``_bits`` directly.
+    :meth:`to_dense` and :meth:`row_support` instead of touching
+    ``_bits`` directly.
     """
 
     __slots__ = ("rows", "cols", "_bits")
@@ -136,15 +134,9 @@ class BitMatrix:
         """Unpack to a uint8 array of 0/1 entries."""
         return _unpack(self._bits, self.cols)
 
-    def get(self, i: int, j: int) -> int:
-        return int((self._bits[i, j // WORD] >> np.uint64(j % WORD)) & np.uint64(1))
-
     def row_support(self, i: int) -> list[int]:
         """Column indices of the nonzero entries in row ``i``."""
         return np.flatnonzero(_unpack(self._bits[i : i + 1], self.cols)).tolist()
-
-    def transpose(self) -> "BitMatrix":
-        return BitMatrix.from_dense(self.to_dense().T)
 
     # -- dunder --------------------------------------------------------
 
@@ -212,11 +204,6 @@ def rank(m: BitMatrix) -> int:
     return r
 
 
-def kernel_dim(m: BitMatrix) -> int:
-    """Dimension of the right null space: cols minus rank."""
-    return m.cols - rank(m)
-
-
 def compose(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """Matrix product ``a @ b`` over GF(2) (apply ``b`` first, then ``a``)."""
     if a.cols != b.rows:
@@ -279,8 +266,6 @@ def block_assemble(
 
 def kron(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """Kronecker product; used for maps of the form (profile x identity)."""
-    if a.rows * b.rows == 0 or a.cols * b.cols == 0:
-        return BitMatrix.zeros(a.rows * b.rows, a.cols * b.cols)
     return BitMatrix.from_dense(np.kron(a.to_dense(), b.to_dense()))
 
 
@@ -289,8 +274,6 @@ def inverse(m: BitMatrix) -> BitMatrix:
     if m.rows != m.cols:
         raise ShapeError(f"inverse of non-square {m.rows}x{m.cols}")
     n = m.rows
-    if n == 0:
-        return BitMatrix.zeros(0, 0)
     aug = np.concatenate([m.to_dense(), np.eye(n, dtype=np.uint8)], axis=1)
     work = BitMatrix.from_dense(aug)._bits.copy()
     r, pivots = _echelon(work, n, 2 * n, reduced=True)
@@ -317,29 +300,9 @@ def random_invertible(n: int, rng: np.random.Generator) -> BitMatrix:
     Unit-diagonal triangular factors and a permutation guarantee
     invertibility without rejection sampling.
     """
-    if n == 0:
-        return BitMatrix.zeros(0, 0)
     lo = np.tril(rng.integers(0, 2, size=(n, n), dtype=np.uint8), k=-1) + np.eye(n, dtype=np.uint8)
     up = np.triu(rng.integers(0, 2, size=(n, n), dtype=np.uint8), k=1) + np.eye(n, dtype=np.uint8)
     perm = rng.permutation(n)
     prod = (lo @ up) & 1
     return BitMatrix.from_dense(prod[perm])
 
-
-def synth_with_rank(rows: int, cols: int, r: int, seed: int = 0) -> BitMatrix:
-    """Deterministic witness of exact rank ``r``.
-
-    Seed 0 returns the canonical form: an r x r identity block in the top
-    left corner, zero elsewhere.  Other seeds conjugate that form by random
-    invertible matrices on both sides, so the rank is exact by construction.
-    """
-    if not (0 <= r <= min(rows, cols)):
-        raise ShapeError(f"rank {r} impossible for a {rows}x{cols} matrix")
-    canon = np.zeros((rows, cols), dtype=np.uint8)
-    canon[np.arange(r), np.arange(r)] = 1
-    base = BitMatrix.from_dense(canon)
-    if seed == 0 or rows == 0 or cols == 0:
-        return base
-    u = random_invertible(rows, rng_for(seed, f"synth-left:{rows}x{cols}r{r}"))
-    v = random_invertible(cols, rng_for(seed, f"synth-right:{rows}x{cols}r{r}"))
-    return compose(compose(u, base), v)

@@ -71,14 +71,6 @@ class MapProfile:
     def cokernel(self) -> int:
         return self.cod - self.rank
 
-    @property
-    def injective(self) -> bool:
-        return self.rank == self.dom
-
-    @property
-    def surjective(self) -> bool:
-        return self.rank == self.cod
-
     def notation(self) -> str:
         return f"{self.rank}_{self.dom}^{self.cod}"
 

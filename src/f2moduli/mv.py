@@ -180,31 +180,38 @@ def _label_text(label: Label) -> str:
     return f"{label[0]}[{','.join(str(p) for p in label[1:])}]"
 
 
-def describe(d: Diagram | RealizedDiagram) -> list[str]:
-    """Structured text dump of a diagram: summand dims and edge payloads.
-
-    Symbolic edges print which witness map they pull in and the identity
-    factor; realised edges print their shape and rank.
-    """
-    out: list[str] = []
-    if isinstance(d, Diagram):
-        a, g = d.genus_pair
-        out.append(f"split {a}+{g} degree {d.degree}")
-    out.append("summands:")
+def describe(d: Diagram) -> list[str]:
+    """Structured text dump of a diagram: summand dims, and for each edge
+    the witness map it pulls in and the identity factor."""
+    a, g = d.genus_pair
+    out = [f"split {a}+{g} degree {d.degree}", "summands:"]
     for label in sorted(d.summands):
         out.append(f"  {_label_text(label)}: dim {d.summands[label]}")
     out.append("edges:")
-    for src, dst in sorted(d.edges):
-        payload = d.edges[(src, dst)]
-        if isinstance(payload, EdgeSpec):
-            txt = (
-                f"{payload.family}_{payload.degree} of side {payload.side}, "
-                f"{payload.position} factor, x I_{payload.factor}"
-            )
-        else:
-            txt = f"{payload.rows}x{payload.cols}, rank {rank(payload)}"
-        out.append(f"  {_label_text(src)} -> {_label_text(dst)}: {txt}")
+    for (src, dst), e in sorted(d.edges.items()):
+        out.append(
+            f"  {_label_text(src)} -> {_label_text(dst)}: {e.family}_{e.degree} of side "
+            f"{e.side}, {e.position} factor, x I_{e.factor}"
+        )
     return out
+
+
+# the largest lambda, packed, that a split or an inference may assemble: it
+# admits every degree of 3+4, 2+5 and 1+6 (36 MiB at most) and refuses the
+# middle degrees of 4+4, 2+6 and 1+7 (85 to 676 MiB)
+MAX_LAMBDA_BYTES = 64 * 2**20
+
+
+def _check_size(diag: Diagram) -> None:
+    """Refuse a diagram whose lambda would take over MAX_LAMBDA_BYTES packed."""
+    rows, cols = diag.domain_dim(), diag.codomain_dim()
+    size = rows * -(-cols // 64) * 8
+    if size > MAX_LAMBDA_BYTES:
+        a, g = diag.genus_pair
+        raise ValidationError(
+            f"split {a}+{g} degree {diag.degree}: lambda is {rows} x {cols}, "
+            f"{size / 2**20:.1f} MiB packed, over the {MAX_LAMBDA_BYTES // 2**20} MiB limit"
+        )
 
 
 def ker_coker(d: RealizedDiagram) -> tuple[int, int]:
@@ -372,10 +379,6 @@ class SplitRow:
     recorded: tuple[int, int] | None  # the published row, where one exists
     verdict: str
 
-    @property
-    def pinned(self) -> bool:
-        return self.ker_interval[0] == self.ker_interval[1]  # both windows are hi - lo wide
-
 
 @dataclass(frozen=True)
 class SplitReport:
@@ -451,13 +454,16 @@ def split_report(a: int, g: int, seeds=(0,), degrees=None) -> SplitReport:
     records = {}
     if (a, g) == (2, 2):
         records = dict(enumerate(zip(reference.SPLIT22_KER, reference.SPLIT22_COKER)))
+    diagrams = [build_split(r, da, dg) for r in degrees]
+    for diag in diagrams:
+        _check_size(diag)
     witnesses = {}  # once per seed and piece
     for s in seeds:
         wa = synthesize_witnesses(da, s)
         witnesses[s] = (wa, wa if dg is da else synthesize_witnesses(dg, s))
     rows = []
-    for r in degrees:
-        diag = build_split(r, da, dg)
+    for diag in diagrams:
+        r = diag.degree
         dom, cod = diag.domain_dim(), diag.codomain_dim()
         lo, hi = _rank_bounds(diag, da, dg)
         realized = {s: ker_coker(realize(diag, wa, wb)) for s, (wa, wb) in witnesses.items()}
@@ -596,6 +602,9 @@ def infer_nu_ranks(
         probe = canonical_data(ref.genus)
         top_rank = min(probe.h[ref.degree], probe.nplus[ref.degree])
         choices.append(range(top_rank + 1) if ranks is None else ranks)
+    da, dg = canonical_data(a), canonical_data(g)  # the candidates change ranks, not dims
+    for r in sorted({*degrees, *(r - 1 for r in degrees)}):
+        _check_size(build_split(r, da, dg))
 
     bundles = []
     for ranks in product(*choices):

@@ -20,6 +20,7 @@ from .betti import (
     total_rank_identity,
     verify_theorem,
 )
+from .errors import ValidationError
 from ._witness import WitnessSet, synthesize_witnesses
 from .f2la import compose, inverse, rank
 from .moduli import (
@@ -101,6 +102,11 @@ def check_side_constraints(bundles) -> tuple[tuple[str, bool, str], list[str]]:
 
 def run_checks(max_genus: int) -> tuple[list[tuple[str, bool, str]], list[str]]:
     """The (name, ok, detail) of every check, in order, and the informational notes."""
+    if max_genus < 2:
+        raise ValidationError(
+            f"genus bound {max_genus} leaves middle-closed-form, recursion-steps and "
+            "field-comparison with nothing to compare; use at least 2"
+        )
     checks: list[tuple[str, bool, str]] = []
     notes: list[str] = []
     top = max_genus

@@ -1,8 +1,16 @@
 import json
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
 from f2moduli.cli import main
+from f2moduli.errors import ValidationError
+from f2moduli.verify import run_checks
+
+ROOT = Path(__file__).resolve().parents[1]
 
 GENUS2_CSV = "degree,value\n0,1\n1,0\n2,1\n3,5\n4,5\n5,5\n6,5\n7,1\n8,0\n9,1\n"
 
@@ -264,6 +272,26 @@ def test_mv_degree_out_of_range(capsys):
     assert run(capsys, ["mv", "--split", "1+1", "--degree", "40"])[0] == 1
 
 
+@pytest.mark.parametrize(
+    "argv", [["mv", "--split", "4+4"], ["infer", "--split", "4+4", "--unknown", "nu_5^4"]]
+)
+def test_oversized_split_exits_1_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: split 4+4 degree 17: lambda is 25070 x 28374, "
+        "84.9 MiB packed, over the 64 MiB limit\n"
+    )
+
+
+def test_oversized_split_runs_a_small_degree(capsys):
+    code, out, _ = run(capsys, ["mv", "--split", "4+4", "--degree", "0", "--format", "json"])
+    assert code == 0
+    assert [row["degree"] for row in json.loads(out)["rows"]] == [0]
+
+
 def test_mv_describe_dumps_edges(capsys):
     code, out, _ = run(capsys, ["mv", "--split", "1+1", "--degree", "3", "--describe"])
     assert code == 0
@@ -367,6 +395,32 @@ def test_verify_json(capsys):
     assert payload["ok"] is True
     assert all(c["ok"] for c in payload["checks"])
     assert any("recorded-genus1-halfspace@5" in n for n in payload["notes"])
+
+
+def test_verify_refuses_a_bound_below_2(capsys):
+    code, out, err = run(capsys, ["verify", "--max-genus", "1"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    for name in ("middle-closed-form", "recursion-steps", "field-comparison"):
+        assert name in err
+    with pytest.raises(ValidationError, match="genus bound 1"):
+        run_checks(1)
+
+
+def test_profile_script_output_loads_in_serre(capsys, tmp_path):
+    subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "make_alpha_profiles.py"),
+         "--out-dir", str(tmp_path), "--genera", "3", "4"],
+        env={"PYTHONPATH": str(ROOT / "src")},
+        check=True,
+        capture_output=True,
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "alpha_profile_g3.json", "alpha_profile_g4.json"
+    ]
+    code, out, _ = run(capsys, ["serre", "--ring-file", str(tmp_path / "alpha_profile_g4.json")])
+    assert code == 0
+    assert "genus 4" in out
 
 
 def test_deterministic_output(capsys):

@@ -4,15 +4,20 @@
   scipy is not a dependency.
 * ``cli.py`` presents results: it imports no ``_``-prefixed name, and
   nothing from a ``_``-prefixed module, of the package.
+* Every function, class, method and property defined in the package is
+  named somewhere in the package or in ``scripts/`` outside its own
+  definition; one that only tests reach goes.
 """
 
 import ast
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "f2moduli"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "f2moduli"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "f2moduli"}
 
 
@@ -44,3 +49,40 @@ def test_cli_imports_no_private_names():
         if any(part.startswith("_") for part in [*module.split("."), name])
     ]
     assert private == [], f"cli.py imports private names {private}"
+
+
+# defined in the package and named by no command or script, kept on purpose
+KEPT = {
+    "eliminate": "the acceptance gate checks ker_coker against block elimination, "
+    "and ROADMAP item 1 keeps it for that",
+    "error": "argparse calls _Parser.error on a usage error",
+    "from_rows": "perfbench's tracer test builds its matrix with it, and perfbench/ "
+    "changes only together with the benchmark",
+}
+
+
+def _unreached() -> list[str]:
+    """Names defined in the package that nothing names outside their own definition."""
+    defs, uses = [], defaultdict(list)
+    for path in [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "scripts").glob("*.py"))]:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                uses[node.id].append((path, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                uses[node.attr].append((path, node.lineno))
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                dunder = node.name.startswith("__") and node.name.endswith("__")
+                if path.parent == PACKAGE and not dunder:
+                    defs.append((node.name, path, node.lineno, node.end_lineno))
+    return sorted(
+        name
+        for name, path, first, last in defs
+        if all(where == path and first <= line <= last for where, line in uses[name])
+    )
+
+
+def test_every_routine_reaches_a_user():
+    unreached = _unreached()
+    extra = [name for name in unreached if name not in KEPT]
+    assert extra == [], f"only tests reach {extra}: delete them"
+    assert unreached == sorted(KEPT), "a name in KEPT is now reached: drop it from KEPT"

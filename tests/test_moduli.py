@@ -32,7 +32,7 @@ def test_profile_notation_and_derived_dims():
     p = MapProfile(rank=4, dom=5, cod=4)
     assert p.notation() == "4_5^4"
     assert p.kernel == 1 and p.cokernel == 0
-    assert p.surjective and not p.injective
+    assert p.rank == p.cod and p.rank != p.dom
 
 
 def test_profile_rejects_rank_overflow():
@@ -140,9 +140,9 @@ def test_rho_injective_then_surjective(g):
     for r in range(6 * g + 1):
         p = rho_profile(g, r, h)
         if r <= 3 * g + 1:
-            assert p.injective
+            assert p.rank == p.dom
         if r >= 3 * g + 1:
-            assert p.surjective
+            assert p.rank == p.cod
 
 
 @pytest.mark.parametrize("g", range(1, 7))

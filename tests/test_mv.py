@@ -22,6 +22,8 @@ from f2moduli.mv import (
     glue_from_rows,
     hypothesis_data,
     infer_nu_ranks,
+    MAX_LAMBDA_BYTES,
+    _check_size,
     is_forced_degree,
     joint_scan22,
     ker_coker,
@@ -124,11 +126,11 @@ def test_describe_symbolic_and_realized(d1):
     assert sym[0] == "split 1+1 degree 3"
     assert any(l.startswith("  dom[0,0]: dim") for l in sym)
     assert any("nu_3 of side A" in l for l in sym)
-    real = describe(realize(diag, *_wits(d1, d1)))
-    assert real[0] == "summands:"
-    assert any(", rank " in l for l in real)
-    # same shape either way: one line per summand and per edge
-    assert len(sym) == len(real) + 1
+    real = realize(diag, *_wits(d1, d1))
+    # one line per summand and per edge, the same edges realize fills in
+    assert len(sym) == 3 + len(real.summands) + len(real.edges)
+    edges = sym[sym.index("edges:") + 1 :]
+    assert len(edges) == len(real.edges) and all(" -> " in l for l in edges)
 
 
 def test_realize_checks_shapes(d1):
@@ -384,7 +386,7 @@ def test_joint_scan_selects_recorded_ranks(scan22):
 def test_report_verdicts(report22):
     for row in report22.rows:
         assert row.verdict in ("forced", "consistent")
-        if row.pinned:
+        if row.ker_interval[0] == row.ker_interval[1]:
             assert row.verdict == "forced"
             assert row.ker_interval[0] == row.chain[0]
 
@@ -443,3 +445,23 @@ def test_side_constraint_check_names_a_broken_record(d1, d2):
     name, ok, detail = check_side_constraints((d1, replace(d2, constraints=tuple(step4))))[0]
     assert name == "recorded-side-constraints" and not ok
     assert "genus2-step4" in detail and "genus2-step3" not in detail
+
+
+def test_size_limit_refuses_before_synthesis(monkeypatch):
+    import f2moduli.mv as mv
+
+    monkeypatch.setattr(mv, "synthesize_witnesses", lambda *_: pytest.fail("synthesised"))
+    with pytest.raises(ValidationError, match=r"split 2\+6 degree 18: lambda is 28391 x 35651"):
+        split_report(2, 6)
+    with pytest.raises(ValidationError, match=r"split 1\+7 degree 19: .* 89.5 MiB packed"):
+        infer_nu_ranks(1, 7, {MapRef("nu", 2, 7): None})
+
+
+def test_size_limit_admits_3_plus_4():
+    d3, d4 = canonical_data(3), canonical_data(4)
+    sizes = []
+    for r in range(40):
+        diag = build_split(r, d3, d4)
+        _check_size(diag)
+        sizes.append(diag.domain_dim() * -(-diag.codomain_dim() // 64) * 8)
+    assert 32 * 2**20 < max(sizes) <= MAX_LAMBDA_BYTES

@@ -36,7 +36,7 @@ def test_genus2_ring_square_of_alpha_vanishes():
 def test_genus2_ring_top_pairing():
     ring = genus2_ring()
     # degree-4 class times alpha spans the top degree
-    assert ring.matrices[4].get(0, 0) == 1
+    assert ring.matrices[4].to_dense()[0, 0] == 1
 
 
 # ---------------------------------------------------------------------------
