@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -411,9 +412,10 @@ def test_profile_script_output_loads_in_serre(capsys, tmp_path):
     subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "make_alpha_profiles.py"),
          "--out-dir", str(tmp_path), "--genera", "3", "4"],
-        env={"PYTHONPATH": str(ROOT / "src")},
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         check=True,
         capture_output=True,
+        timeout=120,
     )
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "alpha_profile_g3.json", "alpha_profile_g4.json"
