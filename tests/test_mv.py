@@ -13,7 +13,9 @@ from f2moduli.moduli import MapRef, genus1_data, genus2_data
 from f2moduli.mv import (
     Diagram,
     EdgeSpec,
+    MAX_LAMBDA_BYTES,
     RealizedDiagram,
+    _check_size,
     build_split,
     canonical_data,
     closed_form_ker_coker,
@@ -22,8 +24,6 @@ from f2moduli.mv import (
     glue_from_rows,
     hypothesis_data,
     infer_nu_ranks,
-    MAX_LAMBDA_BYTES,
-    _check_size,
     is_forced_degree,
     joint_scan22,
     ker_coker,
