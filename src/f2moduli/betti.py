@@ -135,12 +135,17 @@ def _rhs_lower(h: BettiTable, g: int, r: int) -> int:
     return h[r - 2] + 2 * h[r - 3] + h[r - 4] + m_coeff(g, r) - m_coeff(g, r - 4)
 
 
-def _rhs_middle(h: BettiTable, g: int) -> int:
-    return 4 * h[3 * g] + m_coeff(g, 3 * g) - m_coeff(g, 3 * g - 3)
+def _band(h: BettiTable, g: int, r: int) -> tuple[str, int]:
+    """Band of degree r in the genus g+1 table, and its recursion value from h.
 
-
-def _rhs_upper(h: BettiTable, g: int, r: int) -> int:
-    return h[r - 2] + 2 * h[r - 3] + h[r - 4] + m_coeff(g, r - 3) - m_coeff(g, r + 1)
+    The lower band runs to degree 3g-1, the middle band 3g..3g+3 is
+    constant, and the upper band starts at 3g+4.
+    """
+    if r <= 3 * g - 1:
+        return "lower", _rhs_lower(h, g, r)
+    if r <= 3 * g + 3:
+        return "middle", 4 * h[3 * g] + m_coeff(g, 3 * g) - m_coeff(g, 3 * g - 3)
+    return "upper", h[r - 2] + 2 * h[r - 3] + h[r - 4] + m_coeff(g, r - 3) - m_coeff(g, r + 1)
 
 
 @lru_cache(maxsize=None)
@@ -148,9 +153,8 @@ def mod2_table(g: int) -> BettiTable:
     """Framed Betti numbers over the two-element field, genus ``g``.
 
     Base case: the genus-1 framed space is SO(3), table (1, 1, 1, 1).
-    Each further genus applies the three-band recursion: the lower band
-    runs to degree 3g-1, the middle band 3g..3g+3 is constant, and the
-    upper band starts at 3g+4 (g here being the previous genus).
+    Each further genus applies the three-band recursion (:func:`_band`)
+    to the table of the previous genus.
     """
     if g < 1:
         raise ValidationError(f"genus must be >= 1, got {g}")
@@ -159,16 +163,8 @@ def mod2_table(g: int) -> BettiTable:
     for k in range(2, g):  # bottom-up, so that the call depth stays constant
         mod2_table(k)
     prev = mod2_table(g - 1)
-    pg = g - 1
-    values = []
-    for r in range(6 * g - 2):
-        if r <= 3 * pg - 1:
-            values.append(_rhs_lower(prev, pg, r))
-        elif r <= 3 * pg + 3:
-            values.append(_rhs_middle(prev, pg))
-        else:
-            values.append(_rhs_upper(prev, pg, r))
-    table = BettiTable(g, "F2", tuple(values))
+    values = tuple(_band(prev, g - 1, r)[1] for r in range(6 * g - 2))
+    table = BettiTable(g, "F2", values)
     if table.check():
         raise ValidationError(f"mod-2 recursion produced an invalid table: {table.check()}")
     return table
@@ -261,15 +257,8 @@ def verify_theorem(g: int, candidate: BettiTable) -> TheoremReport:
     items: list[tuple[str, bool, str]] = []
 
     for r in range(6 * (g + 1) - 2):
-        if r <= 3 * g - 1:
-            bound = _rhs_lower(h, g, r)
-            items.append((f"lower-bound@{r}", c[r] >= bound, f"{c[r]} >= {bound}"))
-        elif r <= 3 * g + 3:
-            bound = _rhs_middle(h, g)
-            items.append((f"middle-bound@{r}", c[r] >= bound, f"{c[r]} >= {bound}"))
-        else:
-            bound = _rhs_upper(h, g, r)
-            items.append((f"upper-bound@{r}", c[r] >= bound, f"{c[r]} >= {bound}"))
+        band, bound = _band(h, g, r)
+        items.append((f"{band}-bound@{r}", c[r] >= bound, f"{c[r]} >= {bound}"))
 
     for r in range(0, 3 * g):
         if r % 3 == 2:

@@ -65,10 +65,6 @@ def _md_table(header: list[str], rows: list[list]) -> list[str]:
     return out
 
 
-def _emit(args, doc: OutputDocument) -> None:
-    sys.stdout.write(doc.render(args.format))
-
-
 _FIELD = {"f2": "F2", "q": "Q"}
 
 
@@ -84,7 +80,7 @@ _DUALITY_NOTE = "remaining degrees follow from the duality h_r = h_(6g-3-r)"
 # ---------------------------------------------------------------------------
 
 
-def cmd_betti(args) -> int:
+def cmd_betti(args) -> tuple[OutputDocument, int]:
     field = _FIELD[args.field]
     table = _table_for(field, args.genus)
     values = list(table.values)
@@ -98,11 +94,10 @@ def cmd_betti(args) -> int:
     csv_rows = [["degree", "value"]] + [[r, v] for r, v in enumerate(values)]
     text = [f"framed {field} Betti numbers, genus {args.genus}", ""]
     text += _md_table(["degree", "value"], [[r, v] for r, v in enumerate(values)])
-    _emit(args, OutputDocument(payload, csv_rows, text))
-    return 0
+    return OutputDocument(payload, csv_rows, text), 0
 
 
-def cmd_tables(args) -> int:
+def cmd_tables(args) -> tuple[OutputDocument, int]:
     genera = list(range(1, args.max_genus + 1))
     fields = ["F2", "Q"]
     cols: dict[str, dict[int, list[int]]] = {}
@@ -148,11 +143,10 @@ def cmd_tables(args) -> int:
         text.append("")
     if not args.full:
         text.append(f"listed: degrees 0..3g-2 per column; {_DUALITY_NOTE}")
-    _emit(args, OutputDocument(payload, csv_rows, text))
-    return 0
+    return OutputDocument(payload, csv_rows, text), 0
 
 
-def cmd_nplus(args) -> int:
+def cmd_nplus(args) -> tuple[OutputDocument, int]:
     g = args.genus
     plus = nplus_betti(g)
     rel = nhat_betti(g)
@@ -166,11 +160,10 @@ def cmd_nplus(args) -> int:
     csv_rows = [["degree", "halfspace", "relative"]] + rows
     text = [f"half-space boundary Betti numbers, genus {g}", ""]
     text += _md_table(["degree", "halfspace", "relative"], rows)
-    _emit(args, OutputDocument(payload, csv_rows, text))
-    return 0
+    return OutputDocument(payload, csv_rows, text), 0
 
 
-def cmd_profiles(args) -> int:
+def cmd_profiles(args) -> tuple[OutputDocument, int]:
     g = args.genus
     data = canonical_data(g)
     boxed = reference.GENUS1_BOXED_NU if g == 1 else reference.GENUS2_BOXED_NU
@@ -203,11 +196,10 @@ def cmd_profiles(args) -> int:
     text += _md_table(["r", "h", "n", "mu", "rho", "nu"], rows)
     for n in notes:
         text.append(f"note {n}")
-    _emit(args, OutputDocument(payload, csv_rows, text))
-    return 0
+    return OutputDocument(payload, csv_rows, text), 0
 
 
-def cmd_serre(args) -> int:
+def cmd_serre(args) -> tuple[OutputDocument, int]:
     if args.ring_file is not None:
         action = load_alpha_profile(args.ring_file)
         source = str(args.ring_file)
@@ -236,8 +228,7 @@ def cmd_serre(args) -> int:
         if matches
         else "table DIVERGES from the recursion values"
     )
-    _emit(args, OutputDocument(payload, csv_rows, text))
-    return 0 if matches else 2
+    return OutputDocument(payload, csv_rows, text), 0 if matches else 2
 
 
 def _parse_split(tok: str) -> tuple[int, int]:
@@ -374,7 +365,7 @@ def _split22_document(report, scan, dumps: list[list[str]]) -> OutputDocument:
     return OutputDocument(payload, None, text)
 
 
-def cmd_mv(args) -> int:
+def cmd_mv(args) -> tuple[OutputDocument, int]:
     a, g = args.split
     seeds = range(args.seed, args.seed + args.samples)
     report = split_report(a, g, seeds, None if args.degree is None else [args.degree])
@@ -384,8 +375,7 @@ def cmd_mv(args) -> int:
     else:
         # recorded rows (the 2+2 split) come with the joint scan of their open arrows
         doc = _split22_document(report, joint_scan22(), dumps)
-    _emit(args, doc)
-    return 0 if report.ok else 2
+    return doc, 0 if report.ok else 2
 
 
 def _parse_map(tok: str) -> MapRef:
@@ -397,10 +387,10 @@ def _parse_map(tok: str) -> MapRef:
     return MapRef(m.group(1), int(m.group(2)), int(m.group(3)))
 
 
-def cmd_infer(args) -> int:
+def cmd_infer(args) -> tuple[OutputDocument, int]:
     a, g = args.split
     degrees = None if args.at_degree is None else [args.at_degree]
-    scan = infer_nu_ranks(a, g, {args.unknown: None}, degrees, seed=args.seed)
+    scan = infer_nu_ranks(a, g, {args.unknown: None}, degrees)
     res = scan.checks[-1]
     unknown = args.unknown.notation()
     payload = {"command": "infer", "split": [a, g], "unknown": unknown, "deduced": res.deduced}
@@ -418,11 +408,10 @@ def cmd_infer(args) -> int:
             ],
         )
         text = res.lines()
-    _emit(args, OutputDocument(payload, None, text))
-    return 0
+    return OutputDocument(payload, None, text), 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[OutputDocument, int]:
     checks, notes = run_checks(args.max_genus)
     failed = [name for name, ok, _ in checks if not ok]
     payload = {
@@ -443,8 +432,7 @@ def cmd_verify(args) -> int:
         if not failed
         else f"{len(failed)} of {len(checks)} checks FAILED: {', '.join(failed)}"
     )
-    _emit(args, OutputDocument(payload, None, text))
-    return 0 if not failed else 2
+    return OutputDocument(payload, None, text), 0 if not failed else 2
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", type=_parse_split, required=True, metavar="A+G")
     p.add_argument("--unknown", type=_parse_map, required=True, metavar="MAP")
     p.add_argument("--at-degree", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("verify", parents=[fmt], help="full cross-check suite")
@@ -541,10 +528,12 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return args.func(args)
+        doc, code = args.func(args)
+        sys.stdout.write(doc.render(args.format))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -63,40 +63,32 @@ def _unpack(bits: np.ndarray, cols: int) -> np.ndarray:
 class BitMatrix:
     """Immutable GF(2) matrix of shape ``rows x cols``.
 
-    The packed storage is an internal detail; use :meth:`from_dense`,
-    :meth:`to_dense` and :meth:`row_support` instead of touching
-    ``_bits`` directly.
+    The packed storage is an internal detail; use :meth:`from_dense` and
+    :meth:`to_dense` instead of touching ``_bits`` directly.
     """
 
     __slots__ = ("rows", "cols", "_bits")
 
-    def __init__(self, rows: int, cols: int, bits: np.ndarray | None = None):
+    def __init__(self, rows: int, cols: int, bits: np.ndarray):
         if rows < 0 or cols < 0:
             raise ShapeError(f"negative shape ({rows}, {cols})")
         self.rows = rows
         self.cols = cols
         nw = _words(cols)
-        if bits is None:
-            bits = np.zeros((rows, nw), dtype=np.uint64)
-        else:
-            bits = np.array(bits, dtype=np.uint64, copy=True)
-            if bits.shape != (rows, nw):
-                raise ShapeError(
-                    f"packed storage shape {bits.shape} does not match ({rows}, {nw})"
-                )
-            # Mask stray bits beyond the last valid column; block_assemble
-            # shifts whole words and relies on this padding being zero.
-            rem = cols % WORD
-            if rem and nw:
-                bits[:, -1] &= np.uint64((1 << rem) - 1)
+        bits = np.array(bits, dtype=np.uint64, copy=True)
+        if bits.shape != (rows, nw):
+            raise ShapeError(
+                f"packed storage shape {bits.shape} does not match ({rows}, {nw})"
+            )
+        # Mask stray bits beyond the last valid column; block_assemble
+        # shifts whole words and relies on this padding being zero.
+        rem = cols % WORD
+        if rem and nw:
+            bits[:, -1] &= np.uint64((1 << rem) - 1)
         bits.setflags(write=False)
         self._bits = bits
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(rows, cols)
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
@@ -133,10 +125,6 @@ class BitMatrix:
     def to_dense(self) -> np.ndarray:
         """Unpack to a uint8 array of 0/1 entries."""
         return _unpack(self._bits, self.cols)
-
-    def row_support(self, i: int) -> list[int]:
-        """Column indices of the nonzero entries in row ``i``."""
-        return np.flatnonzero(_unpack(self._bits[i : i + 1], self.cols)).tolist()
 
     # -- dunder --------------------------------------------------------
 
@@ -208,10 +196,11 @@ def compose(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """Matrix product ``a @ b`` over GF(2) (apply ``b`` first, then ``a``)."""
     if a.cols != b.rows:
         raise ShapeError(f"compose: a is {a.rows}x{a.cols}, b is {b.rows}x{b.cols}")
+    dense = a.to_dense()
     out = np.zeros((a.rows, b._bits.shape[1]), dtype=np.uint64)
     for i in range(a.rows):
-        sup = a.row_support(i)
-        if sup:
+        sup = np.flatnonzero(dense[i])
+        if sup.size:
             out[i] = np.bitwise_xor.reduce(b._bits[sup], axis=0)
     return BitMatrix(a.rows, b.cols, out)
 

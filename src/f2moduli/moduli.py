@@ -127,24 +127,24 @@ def _nplus_at(g: int, r: int, h: BettiTable) -> int:
     return v
 
 
-def nplus_betti(g: int, h: BettiTable | None = None) -> BettiTable:
+def nplus_betti(g: int) -> BettiTable:
     """Betti numbers of the half-space, degrees 0..6g.
 
     Below the middle (r <= 3g+1) the value is h[r-2] + m_r; above it the
     value is h[r-2] - m_{r+1}.  The two branches agree at r = 3g+1.
     """
-    h = h if h is not None else mod2_table(g)
+    h = mod2_table(g)
     values = tuple(_nplus_at(g, r, h) for r in range(6 * g + 1))
     return BettiTable(g, "F2", values, space="plus")
 
 
-def nhat_betti(g: int, h: BettiTable | None = None) -> BettiTable:
+def nhat_betti(g: int) -> BettiTable:
     """Betti numbers of the pair (half-space, boundary), degrees 0..6g.
 
     h[r-1] - m_{r-1} for r <= 3g-1 and h[r-1] + m_r above; equivalently
     the reverse of :func:`nplus_betti` by Lefschetz duality.
     """
-    h = h if h is not None else mod2_table(g)
+    h = mod2_table(g)
     values = []
     for r in range(6 * g + 1):
         if r <= 3 * g - 1:
@@ -156,31 +156,31 @@ def nhat_betti(g: int, h: BettiTable | None = None) -> BettiTable:
     return BettiTable(g, "F2", tuple(values), space="relative")
 
 
-def mu_kernel_dim(g: int, r: int, h: BettiTable | None = None) -> int:
+def mu_kernel_dim(g: int, r: int) -> int:
     """Kernel dimension of the boundary-inclusion map at degree r.
 
     h[r] - m_r below degree 3g, h[r] + m_{r+1} from 3g on.
     """
-    h = h if h is not None else mod2_table(g)
+    h = mod2_table(g)
     k = h[r] - m_coeff(g, r) if r < 3 * g else h[r] + m_coeff(g, r + 1)
     if k < 0:
         raise ValidationError(f"mu kernel formula went negative at degree {r}")
     return k
 
 
-def mu_profile(g: int, r: int, h: BettiTable | None = None) -> MapProfile:
+def mu_profile(g: int, r: int) -> MapProfile:
     """Profile of mu at degree r: domain h[r] + h[r-2], codomain the
     half-space Betti number, rank fixed by the kernel formula."""
-    h = h if h is not None else mod2_table(g)
+    h = mod2_table(g)
     dom = h[r] + h[r - 2]
     cod = _nplus_at(g, r, h)
-    return MapProfile(rank=dom - mu_kernel_dim(g, r, h), dom=dom, cod=cod)
+    return MapProfile(rank=dom - mu_kernel_dim(g, r), dom=dom, cod=cod)
 
 
-def rho_profile(g: int, r: int, h: BettiTable | None = None) -> MapProfile:
+def rho_profile(g: int, r: int) -> MapProfile:
     """Profile of rho at degree r: injective up to degree 3g+1, surjective
     from 3g+1 on (an isomorphism exactly where both hold)."""
-    h = h if h is not None else mod2_table(g)
+    h = mod2_table(g)
     dom = h[r - 2]
     cod = _nplus_at(g, r, h)
     rank = dom if r <= 3 * g + 1 else cod
@@ -230,11 +230,11 @@ def assemble_genus_data(
     max(rank nu, rank rho) <= rank mu <= rank nu + rank rho.
     """
     h = mod2_table(g)
-    nplus = nplus_betti(g, h)
+    nplus = nplus_betti(g)
     mu, rho, nu = [], [], []
     for r in range(6 * g + 1):
-        mu_r = mu_profile(g, r, h)
-        rho_r = rho_profile(g, r, h)
+        mu_r = mu_profile(g, r)
+        rho_r = rho_profile(g, r)
         dom, cod = h[r], nplus[r]
         if r in nu_ranks:
             nu_rank = nu_ranks[r]
@@ -351,11 +351,11 @@ def reference_diagnostics() -> list[Diagnostic]:
 
     for g, rows in ((1, reference.GENUS1_ROWS), (2, reference.GENUS2_ROWS)):
         h = mod2_table(g)
-        nplus = nplus_betti(g, h)
+        nplus = nplus_betti(g)
         for r, (h_rec, n_rec, mu_rec, rho_rec, nu_rec) in rows.items():
             note(f"recorded-genus{g}-framed@{r}", h[r], h_rec)
             note(f"recorded-genus{g}-halfspace@{r}", nplus[r], n_rec)
-            mu_r, rho_r = mu_profile(g, r, h), rho_profile(g, r, h)
+            mu_r, rho_r = mu_profile(g, r), rho_profile(g, r)
             note(f"recorded-genus{g}-mu@{r}", (mu_r.rank, mu_r.dom, mu_r.cod), mu_rec)
             note(f"recorded-genus{g}-rho@{r}", (rho_r.rank, rho_r.dom, rho_r.cod), rho_rec)
             # nu rank is recorded data; only its shape is formula-checked

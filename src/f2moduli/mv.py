@@ -435,6 +435,20 @@ def _rank_bounds(diag: Diagram, da: GenusData, dg: GenusData) -> tuple[int, int]
     return lo, hi
 
 
+def _glue_pairs(da: GenusData, dg: GenusData, seed: int):
+    """(ker, cok) by degree of the split realised with witness seed ``seed``.
+
+    Each piece's witnesses are synthesised once, each degree on first use."""
+    wa = synthesize_witnesses(da, seed)
+    wb = wa if dg is da else synthesize_witnesses(dg, seed)
+
+    @lru_cache(maxsize=None)
+    def pair(r: int) -> tuple[int, int]:
+        return ker_coker(realize(build_split(r, da, dg), wa, wb))
+
+    return pair
+
+
 def split_report(a: int, g: int, seeds=(0,), degrees=None) -> SplitReport:
     """Everything the a+g split of the canonical bundles determines.
 
@@ -457,16 +471,13 @@ def split_report(a: int, g: int, seeds=(0,), degrees=None) -> SplitReport:
     diagrams = [build_split(r, da, dg) for r in degrees]
     for diag in diagrams:
         _check_size(diag)
-    witnesses = {}  # once per seed and piece
-    for s in seeds:
-        wa = synthesize_witnesses(da, s)
-        witnesses[s] = (wa, wa if dg is da else synthesize_witnesses(dg, s))
+    pairs = {s: _glue_pairs(da, dg, s) for s in seeds}
     rows = []
     for diag in diagrams:
         r = diag.degree
         dom, cod = diag.domain_dim(), diag.codomain_dim()
         lo, hi = _rank_bounds(diag, da, dg)
-        realized = {s: ker_coker(realize(diag, wa, wb)) for s, (wa, wb) in witnesses.items()}
+        realized = {s: pair(r) for s, pair in pairs.items()}
         closed = closed_form_ker_coker(g, r) if a == 1 else None
         chain = None
         if covered:
@@ -564,18 +575,8 @@ def _with_nu_ranks(g: int, replacements: dict[int, int]) -> GenusData:
     return assemble_genus_data(g, ranks, base.constraints)
 
 
-def _glue_pairs(da: GenusData, dg: GenusData, wa: WitnessSet, wb: WitnessSet):
-    """(ker, cok) of the realised split by degree, each computed on first use."""
-
-    @lru_cache(maxsize=None)
-    def pair(r: int) -> tuple[int, int]:
-        return ker_coker(realize(build_split(r, da, dg), wa, wb))
-
-    return pair
-
-
 def infer_nu_ranks(
-    a: int, g: int, unknowns: dict[MapRef, tuple[int, ...] | None], degrees=None, seed: int = 0
+    a: int, g: int, unknowns: dict[MapRef, tuple[int, ...] | None], degrees=None
 ) -> InferenceScan:
     """Deduce unrecorded nu ranks from the glue equations of the a+g split.
 
@@ -617,8 +618,7 @@ def infer_nu_ranks(
         except ValidationError:
             bundles.append((rank, None))
             continue
-        wits = {k: synthesize_witnesses(d, seed) for k, d in data.items()}
-        bundles.append((rank, _glue_pairs(data[a], data[g], wits[a], wits[g])))
+        bundles.append((rank, _glue_pairs(data[a], data[g], 0)))
 
     target = mod2_table(a + g)
     checks = []

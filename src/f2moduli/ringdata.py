@@ -63,8 +63,8 @@ def alpha_ranks_from_tables(g: int) -> AlphaAction:
             = dims[r] + dims[r-1] + dims[r-2] + dims[r-3] - h_r
 
     (out-of-range terms zero).  Solving forward gives each rank from the
-    three before it; the last four equations are then over-determined
-    consistency checks, as are the rank bounds and palindromic symmetry.
+    three before it; the rank bounds, palindromic symmetry and the round
+    trip through :func:`serre_betti`, which covers every equation, check it.
     """
     dims = base_dims(g)
     h = mod2_table(g)
@@ -78,19 +78,11 @@ def alpha_ranks_from_tables(g: int) -> AlphaAction:
     def rk(s: int) -> int:
         return ranks[s] if 0 <= s < n else 0
 
-    def window(r: int) -> int:
-        return rk(r - 1) + rk(r - 2) + rk(r - 3) + rk(r - 4)
-
     def target(r: int) -> int:
         return d(r) + d(r - 1) + d(r - 2) + d(r - 3) - h[r]
 
     for s in range(n):
         ranks[s] = target(s + 1) - rk(s - 1) - rk(s - 2) - rk(s - 3)
-    for r in range(6 * g - 2):
-        if window(r) != target(r):
-            raise ValidationError(
-                f"alpha ranks inconsistent with framed table at degree {r} (genus {g})"
-            )
     action = AlphaAction(genus=g, dims=dims, ranks=tuple(ranks))
     got = serre_betti(action)
     if got.values != h.values:

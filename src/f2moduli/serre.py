@@ -121,8 +121,6 @@ def genus2_ring() -> AlphaAction:
     ranks = (1, 0, 0, 0, 1)
     mats = tuple(
         BitMatrix.from_dense(np.full((dims[s], dims[s + 2]), ranks[s], dtype=np.uint8))
-        if min(dims[s], dims[s + 2]) == 1
-        else BitMatrix.zeros(dims[s], dims[s + 2])
         for s in range(5)
     )
     return AlphaAction(genus=2, dims=dims, ranks=ranks, matrices=mats)

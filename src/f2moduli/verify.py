@@ -158,13 +158,12 @@ def run_checks(max_genus: int) -> tuple[list[tuple[str, bool, str]], list[str]]:
 
     ok = True
     for g in range(1, top + 1):
-        h = mod2_table(g)
-        rel = nhat_betti(g, h)
+        rel = nhat_betti(g)
         for r in range(6 * g + 1):
-            cok = mu_profile(g, r, h).cokernel
-            ker = mu_profile(g, r - 1, h).kernel if r >= 1 else 0
-            rcok = rho_profile(g, r, h).cokernel
-            rker = rho_profile(g, r - 1, h).kernel if r >= 1 else 0
+            cok = mu_profile(g, r).cokernel
+            ker = mu_profile(g, r - 1).kernel if r >= 1 else 0
+            rcok = rho_profile(g, r).cokernel
+            rker = rho_profile(g, r - 1).kernel if r >= 1 else 0
             if cok + ker != rel[r] or rcok + rker != m_coeff(g, r):
                 ok = False
     checks.append(("halfspace-bookkeeping", ok, f"mu and rho ladders, g=1..{top}"))

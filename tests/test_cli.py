@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -7,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from f2moduli.cli import main
+from f2moduli.cli import build_parser, main
 from f2moduli.errors import ValidationError
+from f2moduli.ringdata import write_profile
 from f2moduli.verify import run_checks
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -429,3 +432,41 @@ def test_deterministic_output(capsys):
     first = run(capsys, ["mv", "--split", "1+2", "--seed", "5"])
     second = run(capsys, ["mv", "--split", "1+2", "--seed", "5"])
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# the README's command-line block
+# ---------------------------------------------------------------------------
+
+
+def _readme_commands() -> list[list[str]]:
+    """argv of each example in the README's command-line block, after ``f2moduli``."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines() if line.strip()]
+    assert lines and all(line[0] == "f2moduli" for line in lines)
+    return [line[1:] for line in lines]
+
+
+def test_readme_commands_run(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_profile(tmp_path / "profile.json", 4)  # the file the serre --ring-file line reads
+    for argv in _readme_commands():
+        assert run(capsys, argv)[0] == 0, argv
+
+
+def test_every_option_has_a_readme_example():
+    # --format is shared by every subcommand, so one example of it anywhere covers it
+    examples = _readme_commands()
+    anywhere = {tok for argv in examples for tok in argv}
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    missing = []
+    for name, sub in subparsers.choices.items():
+        shown = {tok for argv in examples if argv[0] == name for tok in argv}
+        for action in sub._actions:
+            options = set(action.option_strings) - {"-h", "--help"}
+            if options and not options & (anywhere if "--format" in options else shown):
+                missing.append(f"{name} {action.option_strings[0]}")
+    assert missing == [], f"options with no README example: {missing}"

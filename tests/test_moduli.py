@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from f2moduli import reference
-from f2moduli.betti import BettiTable, m_coeff, mod2_table
+from f2moduli import moduli, reference
+from f2moduli.betti import BettiTable, m_coeff
 from f2moduli.errors import ValidationError
 from f2moduli.moduli import (
     Diagnostic,
@@ -88,23 +88,22 @@ def test_mu_profile_examples():
 
 @pytest.mark.parametrize("g", range(1, 11))
 def test_profiles_read_the_halfspace_table(g):
-    h = mod2_table(g)
-    plus = nplus_betti(g, h)
+    plus = nplus_betti(g)
     for r in range(6 * g + 1):
-        assert mu_profile(g, r, h).cod == plus[r], f"mu at degree {r}"
-        assert rho_profile(g, r, h).cod == plus[r], f"rho at degree {r}"
-        assert mu_profile(g, r).cod == rho_profile(g, r).cod == plus[r]
+        assert mu_profile(g, r).cod == plus[r], f"mu at degree {r}"
+        assert rho_profile(g, r).cod == plus[r], f"rho at degree {r}"
 
 
-def test_negative_halfspace_entry_rejected():
+def test_negative_halfspace_entry_rejected(monkeypatch):
     # h[3] = 0 makes the half-space entry h[3] - m_6 at degree 5 equal -1
-    h = BettiTable(1, "F2", (1, 0, 1, 0))
+    broken = BettiTable(1, "F2", (1, 0, 1, 0))
+    monkeypatch.setattr(moduli, "mod2_table", lambda g: broken)
     with pytest.raises(ValidationError, match="half-space formula went negative"):
-        nplus_betti(1, h)
+        nplus_betti(1)
     with pytest.raises(ValidationError, match="half-space formula went negative"):
-        rho_profile(1, 5, h)
+        rho_profile(1, 5)
     with pytest.raises(ValidationError, match="half-space formula went negative"):
-        mu_profile(1, 5, h)
+        mu_profile(1, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -116,29 +115,26 @@ def test_negative_halfspace_entry_rejected():
 def test_exact_sequence_bookkeeping(g):
     # the connecting homomorphism alternative: coker mu_r + ker mu_{r-1}
     # must equal the relative Betti number at r
-    h = mod2_table(g)
-    rel = nhat_betti(g, h)
+    rel = nhat_betti(g)
     for r in range(6 * g + 1):
-        cok = mu_profile(g, r, h).cokernel
-        ker = mu_profile(g, r - 1, h).kernel if r >= 1 else 0
+        cok = mu_profile(g, r).cokernel
+        ker = mu_profile(g, r - 1).kernel if r >= 1 else 0
         assert cok + ker == rel[r], f"degree {r}"
 
 
 @pytest.mark.parametrize("g", range(1, 7))
 def test_rho_bookkeeping(g):
     # same bookkeeping for rho alone: coker rho_r + ker rho_{r-1} = m_r
-    h = mod2_table(g)
     for r in range(6 * g + 1):
-        cok = rho_profile(g, r, h).cokernel
-        ker = rho_profile(g, r - 1, h).kernel if r >= 1 else 0
+        cok = rho_profile(g, r).cokernel
+        ker = rho_profile(g, r - 1).kernel if r >= 1 else 0
         assert cok + ker == m_coeff(g, r), f"degree {r}"
 
 
 @pytest.mark.parametrize("g", range(1, 7))
 def test_rho_injective_then_surjective(g):
-    h = mod2_table(g)
     for r in range(6 * g + 1):
-        p = rho_profile(g, r, h)
+        p = rho_profile(g, r)
         if r <= 3 * g + 1:
             assert p.rank == p.dom
         if r >= 3 * g + 1:
@@ -150,10 +146,9 @@ def test_halfspace_total_dimension(g):
     # summing the exact-sequence bookkeeping over all degrees collapses to
     # a clean total: sum(nhat) = sum(nplus), and both count
     # sum(mu cokernels) + sum(mu kernels)
-    h = mod2_table(g)
-    plus = nplus_betti(g, h)
-    kernels = sum(mu_kernel_dim(g, r, h) for r in range(6 * g + 1))
-    cokernels = sum(mu_profile(g, r, h).cokernel for r in range(6 * g + 1))
+    plus = nplus_betti(g)
+    kernels = sum(mu_kernel_dim(g, r) for r in range(6 * g + 1))
+    cokernels = sum(mu_profile(g, r).cokernel for r in range(6 * g + 1))
     assert kernels + cokernels == plus.total()
 
 

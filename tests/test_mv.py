@@ -457,6 +457,44 @@ def test_size_limit_refuses_before_synthesis(monkeypatch):
         infer_nu_ranks(1, 7, {MapRef("nu", 2, 7): None})
 
 
+
+def _count_syntheses(monkeypatch) -> list:
+    """Record (genus, seed) of every witness synthesis the split engine asks for."""
+    import f2moduli.mv as mv
+
+    calls = []
+
+    def counted(data, seed):
+        calls.append((data.genus, seed))
+        return synthesize_witnesses(data, seed)
+
+    monkeypatch.setattr(mv, "synthesize_witnesses", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "a, g, seeds, want", [(2, 2, (0, 1), [(2, 0), (2, 1)]), (1, 2, (0,), [(1, 0), (2, 0)])]
+)
+def test_split_report_synthesises_once_per_piece_and_seed(monkeypatch, a, g, seeds, want):
+    calls = _count_syntheses(monkeypatch)
+    split_report(a, g, seeds)
+    assert sorted(calls) == want
+
+
+# nu_3^2 has five candidate ranks of which four are infeasible; nu_4^2 has two, both feasible
+@pytest.mark.parametrize(
+    "a, g, unknown, feasible", [(1, 2, MapRef("nu", 3, 2), 1), (2, 2, MapRef("nu", 4, 2), 2)]
+)
+def test_inference_synthesises_once_per_feasible_candidate_and_genus(
+    monkeypatch, a, g, unknown, feasible
+):
+    calls = _count_syntheses(monkeypatch)
+    scan = infer_nu_ranks(a, g, {unknown: None})
+    assert sum(c.status != "infeasible" for c in scan.checks[0].candidates) == feasible
+    assert len(calls) == feasible * len({a, g})
+    assert {seed for _, seed in calls} == {0}
+
+
 def test_size_limit_admits_3_plus_4():
     d3, d4 = canonical_data(3), canonical_data(4)
     sizes = []

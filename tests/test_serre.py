@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,8 +30,8 @@ def test_genus2_ring_reproduces_framed_table():
 def test_genus2_ring_square_of_alpha_vanishes():
     ring = genus2_ring()
     m0, m2 = ring.matrices[0], ring.matrices[2]
-    assert m0 != BitMatrix.zeros(m0.rows, m0.cols)
-    assert compose(m0, m2) == BitMatrix.zeros(m0.rows, m2.cols)
+    assert m0 != BitMatrix.from_dense(np.zeros((m0.rows, m0.cols), np.uint8))
+    assert compose(m0, m2) == BitMatrix.from_dense(np.zeros((m0.rows, m2.cols), np.uint8))
 
 
 def test_genus2_ring_top_pairing():
@@ -67,14 +68,14 @@ def test_ranks_bounded_by_dims():
 def test_matrix_rank_must_match_stated():
     dims = (1, 0, 1, 4, 1, 0, 1)
     mats = list(genus2_ring().matrices)
-    mats[0] = BitMatrix.zeros(1, 1)  # stated rank 1, actual 0
+    mats[0] = BitMatrix.from_dense(np.zeros((1, 1), np.uint8))  # stated rank 1, actual 0
     with pytest.raises(ValidationError, match="rank"):
         AlphaAction(2, dims, (1, 0, 0, 0, 1), tuple(mats))
 
 
 def test_matrix_shape_must_match_dims():
     mats = list(genus2_ring().matrices)
-    mats[1] = BitMatrix.zeros(1, 4)
+    mats[1] = BitMatrix.from_dense(np.zeros((1, 4), np.uint8))
     with pytest.raises(ValidationError, match="0x4"):
         AlphaAction(2, (1, 0, 1, 4, 1, 0, 1), (1, 0, 0, 0, 1), tuple(mats))
 
