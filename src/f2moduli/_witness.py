@@ -57,7 +57,6 @@ class WitnessSet:
     """Matrices for every nu_r and rho_r of one genus bundle."""
 
     data: GenusData
-    seed: int
     nu: tuple[BitMatrix, ...]
     rho: tuple[BitMatrix, ...]
 
@@ -169,7 +168,7 @@ def synthesize_witnesses(
             for r in range(top + 1)
         ]
 
-    ws = WitnessSet(data=data, seed=seed, nu=tuple(nu_mats), rho=tuple(rho_mats))
+    ws = WitnessSet(data=data, nu=tuple(nu_mats), rho=tuple(rho_mats))
     bad = ws.check()
     if bad:
         raise InfeasibleError("synthesis failed self-check: " + ", ".join(bad))

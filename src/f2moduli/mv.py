@@ -116,22 +116,30 @@ class RealizedDiagram:
     edges: dict[tuple[Label, Label], BitMatrix]
 
 
-def build_split(r: int, da: GenusData, dg: GenusData) -> Diagram:
+# the largest lambda, packed, that a split or an inference may assemble: it
+# admits every degree of 3+4, 2+5 and 1+6 (36 MiB at most) and refuses the
+# middle degrees of 4+4, 2+6 and 1+7 (85 to 676 MiB)
+MAX_LAMBDA_BYTES = 64 * 2**20
+
+
+def build_split(r: int, a: int, g: int) -> Diagram:
     """The comparison diagram at degree r for the a+g split.
 
-    Zero-dimensional summands are dropped; a domain summand whose every
-    potential target is zero stays, edge-free, and counts fully toward
-    the kernel.
+    Its shape reads only the Betti tables of the two pieces, so it does
+    not depend on their ranks.  Zero-dimensional summands are dropped; a
+    domain summand whose every potential target is zero stays, edge-free,
+    and counts fully toward the kernel.  A diagram whose lambda would
+    take over MAX_LAMBDA_BYTES packed is refused.
     """
-    ha, hg, na, ng = da.h, dg.h, da.nplus, dg.nplus
-    top_a = 6 * da.genus - 2  # framed degrees of the first piece
+    ha, hg, na, ng = mod2_table(a), mod2_table(g), nplus_betti(a), nplus_betti(g)
+    top_a = 6 * a - 2  # framed degrees of the first piece
     summands: dict[Label, int] = {}
     for i in (0, 2):
         for j in range(top_a):
             dim = ha[j] * hg[r - i - j]
             if dim:
                 summands[("dom", i, j)] = dim
-    for k in range(6 * da.genus + 1):
+    for k in range(6 * a + 1):
         dim = na[k] * hg[r - k]
         if dim:
             summands[("red", k)] = dim
@@ -159,7 +167,15 @@ def build_split(r: int, da: GenusData, dg: GenusData) -> Diagram:
                 edges[(label, ("blue", j))] = EdgeSpec(
                     "B", "rho", r - j, "right", ha[j]
                 )
-    return Diagram((da.genus, dg.genus), r, summands, edges)
+    diag = Diagram((a, g), r, summands, edges)
+    rows, cols = diag.domain_dim(), diag.codomain_dim()
+    size = rows * -(-cols // 64) * 8
+    if size > MAX_LAMBDA_BYTES:
+        raise ValidationError(
+            f"split {a}+{g} degree {r}: lambda is {rows} x {cols}, "
+            f"{size / 2**20:.1f} MiB packed, over the {MAX_LAMBDA_BYTES // 2**20} MiB limit"
+        )
+    return diag
 
 
 def realize(diag: Diagram, wa: WitnessSet, wb: WitnessSet) -> RealizedDiagram:
@@ -194,24 +210,6 @@ def describe(d: Diagram) -> list[str]:
             f"{e.side}, {e.position} factor, x I_{e.factor}"
         )
     return out
-
-
-# the largest lambda, packed, that a split or an inference may assemble: it
-# admits every degree of 3+4, 2+5 and 1+6 (36 MiB at most) and refuses the
-# middle degrees of 4+4, 2+6 and 1+7 (85 to 676 MiB)
-MAX_LAMBDA_BYTES = 64 * 2**20
-
-
-def _check_size(diag: Diagram) -> None:
-    """Refuse a diagram whose lambda would take over MAX_LAMBDA_BYTES packed."""
-    rows, cols = diag.domain_dim(), diag.codomain_dim()
-    size = rows * -(-cols // 64) * 8
-    if size > MAX_LAMBDA_BYTES:
-        a, g = diag.genus_pair
-        raise ValidationError(
-            f"split {a}+{g} degree {diag.degree}: lambda is {rows} x {cols}, "
-            f"{size / 2**20:.1f} MiB packed, over the {MAX_LAMBDA_BYTES // 2**20} MiB limit"
-        )
 
 
 def ker_coker(d: RealizedDiagram) -> tuple[int, int]:
@@ -435,8 +433,8 @@ def _rank_bounds(diag: Diagram, da: GenusData, dg: GenusData) -> tuple[int, int]
     return lo, hi
 
 
-def _glue_pairs(da: GenusData, dg: GenusData, seed: int):
-    """(ker, cok) by degree of the split realised with witness seed ``seed``.
+def _glue_pairs(diagrams: dict[int, Diagram], da: GenusData, dg: GenusData, seed: int):
+    """(ker, cok) by degree of ``diagrams`` realised with witness seed ``seed``.
 
     Each piece's witnesses are synthesised once, each degree on first use."""
     wa = synthesize_witnesses(da, seed)
@@ -444,7 +442,7 @@ def _glue_pairs(da: GenusData, dg: GenusData, seed: int):
 
     @lru_cache(maxsize=None)
     def pair(r: int) -> tuple[int, int]:
-        return ker_coker(realize(build_split(r, da, dg), wa, wb))
+        return ker_coker(realize(diagrams[r], wa, wb))
 
     return pair
 
@@ -468,13 +466,11 @@ def split_report(a: int, g: int, seeds=(0,), degrees=None) -> SplitReport:
     records = {}
     if (a, g) == (2, 2):
         records = dict(enumerate(zip(reference.SPLIT22_KER, reference.SPLIT22_COKER)))
-    diagrams = [build_split(r, da, dg) for r in degrees]
-    for diag in diagrams:
-        _check_size(diag)
-    pairs = {s: _glue_pairs(da, dg, s) for s in seeds}
+    diagrams = {r: build_split(r, a, g) for r in degrees}
+    pairs = {s: _glue_pairs(diagrams, da, dg, s) for s in seeds}
     rows = []
-    for diag in diagrams:
-        r = diag.degree
+    for r in degrees:
+        diag = diagrams[r]
         dom, cod = diag.domain_dim(), diag.codomain_dim()
         lo, hi = _rank_bounds(diag, da, dg)
         realized = {s: pair(r) for s, pair in pairs.items()}
@@ -603,9 +599,7 @@ def infer_nu_ranks(
         probe = canonical_data(ref.genus)
         top_rank = min(probe.h[ref.degree], probe.nplus[ref.degree])
         choices.append(range(top_rank + 1) if ranks is None else ranks)
-    da, dg = canonical_data(a), canonical_data(g)  # the candidates change ranks, not dims
-    for r in sorted({*degrees, *(r - 1 for r in degrees)}):
-        _check_size(build_split(r, da, dg))
+    diagrams = {r: build_split(r, a, g) for r in sorted({*degrees, *(r - 1 for r in degrees)})}
 
     bundles = []
     for ranks in product(*choices):
@@ -618,7 +612,7 @@ def infer_nu_ranks(
         except ValidationError:
             bundles.append((rank, None))
             continue
-        bundles.append((rank, _glue_pairs(data[a], data[g], 0)))
+        bundles.append((rank, _glue_pairs(diagrams, data[a], data[g], 0)))
 
     target = mod2_table(a + g)
     checks = []

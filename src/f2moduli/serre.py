@@ -9,7 +9,7 @@ keeping track of kernels and cokernels of cup product by alpha gives
 
 where ``a_s`` is cup product H^s(base) -> H^{s+2}(base).  Everything the
 formula needs is the list of base Betti numbers and the rank of ``a_s``
-for each s; explicit matrices are optional and only cross-checked.
+for each s.
 
 The base of genus g has dimension 6g-6, so dims has length 6g-5 and the
 rank list length 6g-7 (empty at genus 1, where the base is a point).
@@ -21,11 +21,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .betti import BettiTable
 from .errors import ValidationError
-from .f2la import BitMatrix, rank as f2rank
 
 __all__ = ["AlphaAction", "serre_betti", "genus2_ring", "load_alpha_profile"]
 
@@ -38,14 +35,12 @@ class AlphaAction:
     of a_s: H^s -> H^{s+2} for s = 0..6g-8.  Validated on construction:
     dims must be nonnegative, start at 1 and be palindromic; ranks must
     fit min(dims[s], dims[s+2]) and be palindromic too, since cup product
-    on a closed oriented base pairs a_s with a_{6g-8-s}.  ``matrices``,
-    when given, must realise exactly the stated ranks.
+    on a closed oriented base pairs a_s with a_{6g-8-s}.
     """
 
     genus: int
     dims: tuple[int, ...]
     ranks: tuple[int, ...]
-    matrices: tuple[BitMatrix, ...] | None = None
 
     def __post_init__(self):
         g = self.genus
@@ -67,19 +62,6 @@ class AlphaAction:
                 raise ValidationError(f"alpha rank at degree {s} out of range")
         if self.ranks != self.ranks[::-1]:
             raise ValidationError("alpha ranks must be palindromic")
-        if self.matrices is not None:
-            if len(self.matrices) != nr:
-                raise ValidationError(f"need {nr} matrices, got {len(self.matrices)}")
-            for s, m in enumerate(self.matrices):
-                if (m.rows, m.cols) != (self.dims[s], self.dims[s + 2]):
-                    raise ValidationError(
-                        f"matrix at degree {s} is {m.rows}x{m.cols}, "
-                        f"profile wants {self.dims[s]}x{self.dims[s + 2]}"
-                    )
-                if f2rank(m) != self.ranks[s]:
-                    raise ValidationError(
-                        f"matrix at degree {s} has rank {f2rank(m)}, stated {self.ranks[s]}"
-                    )
 
     def dim(self, s: int) -> int:
         return self.dims[s] if 0 <= s < len(self.dims) else 0
@@ -110,23 +92,17 @@ def serre_betti(action: AlphaAction) -> BettiTable:
 
 
 def genus2_ring() -> AlphaAction:
-    """The genus-2 base ring, with explicit cup-product matrices.
+    """The genus-2 base ring.
 
     H^*(base) has dims (1, 0, 1, 4, 1, 0, 1): generators alpha in degree
     2, four degree-3 classes, one degree-4 class.  alpha^2 = 0, and alpha
     times the degree-4 class spans the top.  So the alpha ranks are
     (1, 0, 0, 0, 1).
     """
-    dims = (1, 0, 1, 4, 1, 0, 1)
-    ranks = (1, 0, 0, 0, 1)
-    mats = tuple(
-        BitMatrix.from_dense(np.full((dims[s], dims[s + 2]), ranks[s], dtype=np.uint8))
-        for s in range(5)
-    )
-    return AlphaAction(genus=2, dims=dims, ranks=ranks, matrices=mats)
+    return AlphaAction(genus=2, dims=(1, 0, 1, 4, 1, 0, 1), ranks=(1, 0, 0, 0, 1))
 
 
-_PROFILE_KEYS = {"genus", "dims", "alpha_ranks", "alpha_matrices"}
+_PROFILE_KEYS = {"genus", "dims", "alpha_ranks"}
 
 
 def _is_int(v) -> bool:
@@ -138,25 +114,20 @@ def _is_int_list(v) -> bool:
     return isinstance(v, list) and all(_is_int(x) for x in v)
 
 
-def load_alpha_profile(source: str | Path | dict) -> AlphaAction:
-    """Read an alpha profile from JSON (path or already-parsed dict).
+def load_alpha_profile(source: str | Path) -> AlphaAction:
+    """Read an alpha profile from a JSON file.
 
-    Required keys: genus, dims, alpha_ranks.  Optional: alpha_matrices, a
-    list of flat row-major 0/1 lists, one per alpha degree; when present
-    each matrix must realise the stated rank.  Unknown keys are rejected
-    so silent typos cannot slip through.
+    The profile has exactly the keys genus, dims and alpha_ranks.  Unknown
+    keys are rejected so silent typos cannot slip through.
     """
-    if isinstance(source, (str, Path)):
-        with open(source) as fh:
-            data = json.load(fh)
-    else:
-        data = source
+    with open(source) as fh:
+        data = json.load(fh)
     if not isinstance(data, dict):
         raise ValidationError("alpha profile must be a JSON object")
     extra = set(data) - _PROFILE_KEYS
     if extra:
         raise ValidationError(f"unknown keys in alpha profile: {sorted(extra)}")
-    missing = {"genus", "dims", "alpha_ranks"} - set(data)
+    missing = _PROFILE_KEYS - set(data)
     if missing:
         raise ValidationError(f"alpha profile missing keys: {sorted(missing)}")
     g = data["genus"]
@@ -164,28 +135,4 @@ def load_alpha_profile(source: str | Path | dict) -> AlphaAction:
         raise ValidationError("genus must be an integer")
     if not (_is_int_list(data["dims"]) and _is_int_list(data["alpha_ranks"])):
         raise ValidationError("dims and alpha_ranks must be integer lists")
-    dims = tuple(data["dims"])
-    ranks = tuple(data["alpha_ranks"])
-    action = AlphaAction(genus=g, dims=dims, ranks=ranks)  # shape check first
-    if "alpha_matrices" in data:
-        flat = data["alpha_matrices"]
-        if not (
-            isinstance(flat, list)
-            and all(_is_int_list(e) and set(e) <= {0, 1} for e in flat)
-        ):
-            raise ValidationError("alpha_matrices must be a list of 0/1 integer lists")
-        if len(flat) != len(ranks):
-            raise ValidationError(
-                f"need {len(ranks)} matrices, got {len(flat)}"
-            )
-        mats = []
-        for s, entries in enumerate(flat):
-            dom, cod = dims[s], dims[s + 2]
-            if len(entries) != dom * cod:
-                raise ValidationError(
-                    f"matrix at degree {s} needs {dom * cod} entries, got {len(entries)}"
-                )
-            arr = np.asarray(entries, dtype=np.uint8).reshape(dom, cod)
-            mats.append(BitMatrix.from_dense(arr))
-        action = AlphaAction(genus=g, dims=dims, ranks=ranks, matrices=tuple(mats))
-    return action
+    return AlphaAction(genus=g, dims=tuple(data["dims"]), ranks=tuple(data["alpha_ranks"]))

@@ -15,7 +15,6 @@ from f2moduli.mv import (
     EdgeSpec,
     MAX_LAMBDA_BYTES,
     RealizedDiagram,
-    _check_size,
     build_split,
     canonical_data,
     closed_form_ker_coker,
@@ -88,7 +87,7 @@ def test_rows12_independent_of_witness_seed(rows12):
 def test_lone_lower_dot(d1):
     # at degree 2 the (0,1) summand has no surviving target on either
     # side; it must stay in the diagram and feed the kernel
-    diag = build_split(2, d1, d1)
+    diag = build_split(2, 1, 1)
     assert ("dom", 0, 1) in diag.summands
     assert not any(src == ("dom", 0, 1) for src, _ in diag.edges)
     assert ker_coker(realize(diag, *_wits(d1, d1)))[0] == 1
@@ -96,7 +95,7 @@ def test_lone_lower_dot(d1):
 
 def test_lone_upper_dot(d1):
     # degree 8 keeps a single domain summand and no codomain at all
-    diag = build_split(8, d1, d1)
+    diag = build_split(8, 1, 1)
     assert set(diag.summands) == {("dom", 2, 3)}
     assert ker_coker(realize(diag, *_wits(d1, d1))) == (1, 0)
 
@@ -111,8 +110,8 @@ def _wits(da, dg, seed=0):
     return wa, wb
 
 
-def test_build_dims_sample(d1, d2):
-    diag = build_split(5, d1, d2)
+def test_build_dims_sample():
+    diag = build_split(5, 1, 2)
     dims = {l: d for l, d in diag.summands.items()}
     assert dims[("dom", 0, 0)] == 5 and dims[("dom", 0, 3)] == 1
     assert dims[("red", 0)] == 5 and dims[("red", 3)] == 3
@@ -121,7 +120,7 @@ def test_build_dims_sample(d1, d2):
 
 
 def test_describe_symbolic_and_realized(d1):
-    diag = build_split(3, d1, d1)
+    diag = build_split(3, 1, 1)
     sym = describe(diag)
     assert sym[0] == "split 1+1 degree 3"
     assert any(l.startswith("  dom[0,0]: dim") for l in sym)
@@ -134,7 +133,7 @@ def test_describe_symbolic_and_realized(d1):
 
 
 def test_realize_checks_shapes(d1):
-    diag = build_split(3, d1, d1)
+    diag = build_split(3, 1, 1)
     key, spec = next(iter(diag.edges.items()))
     broken = dict(diag.edges)
     broken[key] = EdgeSpec(spec.side, spec.family, spec.degree, spec.position, spec.factor + 1)
@@ -183,7 +182,7 @@ def _no_invertible_edges(d):
 
 @pytest.mark.parametrize("r", range(10))
 def test_eliminate_preserves_lambda11(r, d1):
-    real = realize(build_split(r, d1, d1), *_wits(d1, d1))
+    real = realize(build_split(r, 1, 1), *_wits(d1, d1))
     red = eliminate(real)
     assert ker_coker(red) == ker_coker(real)
     assert _no_invertible_edges(red)
@@ -192,7 +191,7 @@ def test_eliminate_preserves_lambda11(r, d1):
 
 @pytest.mark.parametrize("r", [3, 4, 5, 7, 11])
 def test_eliminate_preserves_lambda12(r, d1, d2):
-    real = realize(build_split(r, d1, d2), *_wits(d1, d2))
+    real = realize(build_split(r, 1, 2), *_wits(d1, d2))
     red = eliminate(real)
     assert ker_coker(red) == ker_coker(real)
     assert _no_invertible_edges(red)
@@ -227,7 +226,7 @@ def test_reduction_complement_is_degree_shifted(d1, d2):
     # 2 h_1 + h_0 + m_2 = 1 over the genus-2 table; the same expression
     # shifted to degree r-1 would predict 11, which the realisation
     # rules out
-    real = realize(build_split(4, d1, d2), *_wits(d1, d2))
+    real = realize(build_split(4, 1, 2), *_wits(d1, d2))
     h = mod2_table(2)
     assert ker_coker(real) == (1, 1)
     assert closed_form_ker_coker(2, 4) == (1, 1)
@@ -495,11 +494,36 @@ def test_inference_synthesises_once_per_feasible_candidate_and_genus(
     assert {seed for _, seed in calls} == {0}
 
 
+def _count_builds(monkeypatch) -> list:
+    """Record the degree of every split diagram the split engine builds."""
+    import f2moduli.mv as mv
+
+    calls = []
+
+    def counted(r, a, g):
+        calls.append(r)
+        return build_split(r, a, g)
+
+    monkeypatch.setattr(mv, "build_split", counted)
+    return calls
+
+
+def test_split_report_builds_each_degree_once(monkeypatch):
+    calls = _count_builds(monkeypatch)
+    split_report(2, 2, (0, 1))
+    assert sorted(calls) == list(range(22))
+
+
+def test_inference_builds_each_degree_once_for_all_candidates(monkeypatch):
+    calls = _count_builds(monkeypatch)
+    scan = infer_nu_ranks(1, 3, {MapRef("nu", 9, 3): None})
+    assert len(scan.checks[0].candidates) > 1
+    assert sorted(calls) == list(range(22))
+
+
 def test_size_limit_admits_3_plus_4():
-    d3, d4 = canonical_data(3), canonical_data(4)
     sizes = []
     for r in range(40):
-        diag = build_split(r, d3, d4)
-        _check_size(diag)
+        diag = build_split(r, 3, 4)
         sizes.append(diag.domain_dim() * -(-diag.codomain_dim() // 64) * 8)
     assert 32 * 2**20 < max(sizes) <= MAX_LAMBDA_BYTES
