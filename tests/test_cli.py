@@ -222,12 +222,16 @@ _G2_PROFILE = {"genus": 2, "dims": [1, 0, 1, 4, 1, 0, 1], "alpha_ranks": [1, 0, 
         {"dims": 5},
         {"alpha_ranks": 5},
         {"alpha_ranks": None},
-        # the genus-2 alpha maps as well-formed matrices: the profile holds ranks only
+        # alpha matrices, malformed or well-formed: the profile holds ranks only
+        {"alpha_matrices": 5},
+        {"alpha_matrices": [5, 5, 5, 5, 5]},
+        {"alpha_matrices": [[300], [], [0], [], [1]]},
         {"alpha_matrices": [[1], [], [0], [], [1]]},
         # a well-formed genus-1 profile, but for the genus
         {"genus": True, "dims": [1], "alpha_ranks": []},
     ],
-    ids=["dims-int", "ranks-int", "ranks-null", "alpha-matrices-key", "genus-bool"],
+    ids=["dims-int", "ranks-int", "ranks-null", "matrices-int", "matrices-of-ints",
+         "matrix-entry-300", "alpha-matrices-key", "genus-bool"],
 )
 def test_serre_malformed_ring_file_exits_1(capsys, tmp_path, change):
     path = tmp_path / "bad.json"
