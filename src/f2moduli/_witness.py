@@ -24,7 +24,7 @@ at every seed, through ``kernel_overrides``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,23 +42,37 @@ from .moduli import GenusData
 __all__ = ["WitnessSet", "synthesize_witnesses"]
 
 
-def _coordinate_map(dom: int, cod: int, zero_rows: set[int], image_cols: list[int]) -> BitMatrix:
-    """Matrix sending the i-th surviving coordinate to image_cols[i]."""
-    dense = np.zeros((dom, cod), dtype=np.uint8)
+def _coordinate_map(
+    dom: int, cod: int, zero_rows: set[int], image_cols: list[int]
+) -> tuple[BitMatrix, np.ndarray]:
+    """Matrix sending the i-th surviving coordinate to image_cols[i], and the
+    column each row hits (-1 for a zero row)."""
     alive = [i for i in range(dom) if i not in zero_rows]
     if len(alive) != len(image_cols):
         raise InfeasibleError("kernel and image selections disagree on the rank")
+    hits = np.full(dom, -1, dtype=np.int64)
+    hits[alive] = image_cols
+    dense = np.zeros((dom, cod), dtype=np.uint8)
     dense[alive, image_cols] = 1
-    return BitMatrix.from_dense(dense)
+    return BitMatrix.from_dense(dense), hits
 
 
 @dataclass(frozen=True)
 class WitnessSet:
-    """Matrices for every nu_r and rho_r of one genus bundle."""
+    """Matrices for every nu_r and rho_r of one genus bundle.
+
+    At seed 0 every map is a partial injection of coordinates, and
+    ``nu_hits[r]``/``rho_hits[r]`` give the column each of its rows hits,
+    -1 for a zero row.  Other seeds conjugate the maps densely, and both
+    are None.  The hits follow from the matrices, so they take no part in
+    comparisons.
+    """
 
     data: GenusData
     nu: tuple[BitMatrix, ...]
     rho: tuple[BitMatrix, ...]
+    nu_hits: tuple[np.ndarray, ...] | None = field(default=None, compare=False, repr=False)
+    rho_hits: tuple[np.ndarray, ...] | None = field(default=None, compare=False, repr=False)
 
     def mu(self, r: int) -> BitMatrix:
         """The stacked map on H_r + H_{r-2}, rows of nu_r over rows of rho_r."""
@@ -142,16 +156,17 @@ def synthesize_witnesses(
         rho_cols[r] = list(range(rr))
         nu_cols[r] = list(range(rr - t, rr - t + rn))
 
-    nu_mats = [
+    nu_mats, nu_hits = zip(*(
         _coordinate_map(data.h[r], data.nplus[r], nu_zero_rows[r], nu_cols[r])
         for r in range(top + 1)
-    ]
-    rho_mats = [
+    ))
+    rho_mats, rho_hits = zip(*(
         _coordinate_map(data.h[r - 2], data.nplus[r], rho_zero_rows[r], rho_cols[r])
         for r in range(top + 1)
-    ]
+    ))
 
     if seed != 0:
+        nu_hits = rho_hits = None
         doms = [
             random_invertible(data.h[s], rng_for(seed, f"w{g}:dom:{s}"))
             for s in range(top + 1)
@@ -168,7 +183,7 @@ def synthesize_witnesses(
             for r in range(top + 1)
         ]
 
-    ws = WitnessSet(data=data, nu=tuple(nu_mats), rho=tuple(rho_mats))
+    ws = WitnessSet(data, tuple(nu_mats), tuple(rho_mats), nu_hits, rho_hits)
     bad = ws.check()
     if bad:
         raise InfeasibleError("synthesis failed self-check: " + ", ".join(bad))

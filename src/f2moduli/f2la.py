@@ -1,4 +1,5 @@
-"""Dense linear algebra over GF(2) with bit-packed rows.
+"""Linear algebra over GF(2): dense bit-packed matrices, and the rank of a
+matrix with at most two 1s per row counted as a graph.
 
 Matrices store each row as a strip of uint64 words, so row updates during
 Gaussian elimination are whole-word XORs.  Column j is bit j % 64 of word
@@ -11,6 +12,10 @@ one.
 Elimination uses a fixed pivot order (leftmost unused column first, then
 topmost available row), which makes ranks, inverses and synthesized
 witnesses reproducible across runs and platforms.
+
+A matrix whose every row has at most two 1s never needs elimination: it
+is the edge-vertex incidence matrix of a graph, and :func:`edge_rank`
+counts its connected components instead.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ WORD = 64
 __all__ = [
     "BitMatrix",
     "rank",
+    "edge_rank",
     "compose",
     "add",
     "block_assemble",
@@ -190,6 +196,43 @@ def rank(m: BitMatrix) -> int:
     work = m._bits.copy()
     r, _ = _echelon(work, m.rows, m.cols)
     return r
+
+
+def edge_rank(ends: np.ndarray, cols: int) -> int:
+    """Rank over GF(2) of the matrix whose row k is e_u + e_v, (u, v) = ends[k].
+
+    The columns are 0..cols-1; an end equal to ``cols`` is the ground
+    vertex and adds nothing, so (c, cols) is a row with one 1 and
+    (cols, cols) a zero row.  Adding the ground as a column equal to the
+    sum of all the others keeps the rank and makes the matrix the
+    incidence matrix of a graph on cols + 1 vertices, whose rank over
+    GF(2) is (cols + 1) minus the number of connected components.
+
+    Components come from vectorised hooking and pointer jumping
+    (Shiloach and Vishkin, J. Algorithms 1982): each round points every
+    root that an edge joins to a smaller root at the smallest such root,
+    then flattens every tree to its root.
+    """
+    ends = np.asarray(ends, dtype=np.int64)
+    if ends.ndim != 2 or ends.shape[1] != 2:
+        raise ShapeError(f"edge ends must be an (n, 2) array, got shape {ends.shape}")
+    if ends.size and (ends.min() < 0 or ends.max() > cols):
+        raise ShapeError(f"edge ends outside the columns 0..{cols}")
+    parent = np.arange(cols + 1)
+    u, v = ends[:, 0], ends[:, 1]
+    while True:
+        ru, rv = parent[u], parent[v]
+        live = ru != rv
+        if not live.any():
+            # (cols + 1) - components: every vertex but the roots
+            return int(np.count_nonzero(parent != np.arange(cols + 1)))
+        u, v, ru, rv = u[live], v[live], ru[live], rv[live]
+        np.minimum.at(parent, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent = up
 
 
 def compose(a: BitMatrix, b: BitMatrix) -> BitMatrix:

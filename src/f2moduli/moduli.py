@@ -23,6 +23,7 @@ c-dimensional space of rank a.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 from . import reference
@@ -127,6 +128,7 @@ def _nplus_at(g: int, r: int, h: BettiTable) -> int:
     return v
 
 
+@lru_cache(maxsize=None)
 def nplus_betti(g: int) -> BettiTable:
     """Betti numbers of the half-space, degrees 0..6g.
 

@@ -14,10 +14,12 @@ joined surface:
 Ranks of the arrows come from recorded :class:`~f2moduli.moduli.GenusData`;
 matrices realising them come from :mod:`f2moduli._witness`.  The module
 also carries the closed-form kernel/cokernel expressions for 1+g splits
-at the degrees where the profiles force them, a Gaussian elimination for
-realised diagrams, one report that turns any split into rows
-(:func:`split_report`), and one rank inference for unrecorded arrows
-(:func:`infer_nu_ranks`).
+at the degrees where the profiles force them, two rank engines for
+lambda (a component count for the seed-0 witnesses, which make lambda
+the incidence matrix of a graph, and dense elimination for any other
+seed), a block Gaussian elimination for realised diagrams, one report
+that turns any split into rows (:func:`split_report`), and one rank
+inference for unrecorded arrows (:func:`infer_nu_ranks`).
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+
+import numpy as np
 
 from . import reference
 from .betti import BettiTable, m_coeff, mod2_table
@@ -35,6 +39,7 @@ from .f2la import (
     add,
     block_assemble,
     compose,
+    edge_rank,
     inverse,
     kron,
     rank,
@@ -56,6 +61,8 @@ __all__ = [
     "realize",
     "describe",
     "ker_coker",
+    "lambda_edges",
+    "graph_ker_coker",
     "eliminate",
     "glue_from_rows",
     "is_forced_degree",
@@ -116,9 +123,11 @@ class RealizedDiagram:
     edges: dict[tuple[Label, Label], BitMatrix]
 
 
-# the largest lambda, packed, that a split or an inference may assemble: it
-# admits every degree of 3+4, 2+5 and 1+6 (36 MiB at most) and refuses the
-# middle degrees of 4+4, 2+6 and 1+7 (85 to 676 MiB)
+# the largest lambda a split or an inference may hold, in the storage of the
+# engine that ranks it.  Packed for the dense engine, it admits every degree
+# of 3+4, 2+5 and 1+6 (36 MiB at most) and refuses the middle degrees of 4+4,
+# 2+6 and 1+7 (85 to 676 MiB); as two int64 ends per row for the graph engine,
+# it admits 4+4, 2+6, 1+7, 4+5 and 5+5 (19.3 MiB at most) and refuses 5+6.
 MAX_LAMBDA_BYTES = 64 * 2**20
 
 
@@ -128,8 +137,7 @@ def build_split(r: int, a: int, g: int) -> Diagram:
     Its shape reads only the Betti tables of the two pieces, so it does
     not depend on their ranks.  Zero-dimensional summands are dropped; a
     domain summand whose every potential target is zero stays, edge-free,
-    and counts fully toward the kernel.  A diagram whose lambda would
-    take over MAX_LAMBDA_BYTES packed is refused.
+    and counts fully toward the kernel.
     """
     ha, hg, na, ng = mod2_table(a), mod2_table(g), nplus_betti(a), nplus_betti(g)
     top_a = 6 * a - 2  # framed degrees of the first piece
@@ -167,15 +175,19 @@ def build_split(r: int, a: int, g: int) -> Diagram:
                 edges[(label, ("blue", j))] = EdgeSpec(
                     "B", "rho", r - j, "right", ha[j]
                 )
-    diag = Diagram((a, g), r, summands, edges)
+    return Diagram((a, g), r, summands, edges)
+
+
+def _check_size(diag: Diagram, graph: bool) -> None:
+    """Refuse a lambda over MAX_LAMBDA_BYTES in its engine's storage."""
     rows, cols = diag.domain_dim(), diag.codomain_dim()
-    size = rows * -(-cols // 64) * 8
+    size, form = (rows * 16, "as edges") if graph else (rows * -(-cols // 64) * 8, "packed")
     if size > MAX_LAMBDA_BYTES:
+        a, g = diag.genus_pair
         raise ValidationError(
-            f"split {a}+{g} degree {r}: lambda is {rows} x {cols}, "
-            f"{size / 2**20:.1f} MiB packed, over the {MAX_LAMBDA_BYTES // 2**20} MiB limit"
+            f"split {a}+{g} degree {diag.degree}: lambda is {rows} x {cols}, "
+            f"{size / 2**20:.1f} MiB {form}, over the {MAX_LAMBDA_BYTES // 2**20} MiB limit"
         )
-    return diag
 
 
 def realize(diag: Diagram, wa: WitnessSet, wb: WitnessSet) -> RealizedDiagram:
@@ -226,6 +238,62 @@ def ker_coker(d: RealizedDiagram) -> tuple[int, int]:
     )
     rk = rank(total)
     return total.rows - rk, total.cols - rk
+
+
+def lambda_edges(diag: Diagram, wa: WitnessSet, wb: WitnessSet) -> tuple[np.ndarray, int]:
+    """Lambda realised with seed-0 witnesses, as the two ends of each row.
+
+    Seed-0 witnesses are partial injections of coordinates, so an arrow
+    m x I_f or I_f x m sends each row to at most one column, and a domain
+    summand has at most one red and one blue arrow: every row of lambda
+    has at most two 1s.  Row i*f + t of kron(m, I_f) hits column
+    c_i*f + t, and row t*m.rows + i of kron(I_f, m) hits t*m.cols + c_i,
+    where c_i is the column row i of m hits.  Returns the ends, in the
+    form :func:`~f2moduli.f2la.edge_rank` takes, and the number of
+    columns; the ground vertex ``cols`` stands in for a missing end.
+    Raises ShapeError where a row would get a third end, a witness row
+    is not one column, or an arrow has the wrong shape.
+    """
+    offsets, cols = {}, 0
+    for label, dim in diag.summands.items():
+        if label[0] != "dom":
+            offsets[label] = cols
+            cols += dim
+    ends = {l: np.full((d, 2), cols, dtype=np.int64) for l, d in diag.summands.items()
+            if l[0] == "dom"}
+    filled = {l: np.zeros(len(e), dtype=np.int64) for l, e in ends.items()}
+    for (src, dst), spec in diag.edges.items():
+        edge = f"edge {src}->{dst}"
+        w = wa if spec.side == "A" else wb
+        maps, hits = (w.nu, w.nu_hits) if spec.family == "nu" else (w.rho, w.rho_hits)
+        if hits is None:
+            raise ShapeError(f"{edge}: the witness is not a coordinate map")
+        m, c, f = maps[spec.degree], hits[spec.degree], spec.factor
+        if c.shape != (m.rows,):
+            raise ShapeError(f"{edge}: a row of {spec.family}_{spec.degree} is not one column")
+        if spec.position == "left":
+            cell = (c[:, None] * f + np.arange(f)).ravel()
+            live = np.repeat(c >= 0, f)
+        else:
+            cell = (np.arange(f)[:, None] * m.cols + c).ravel()
+            live = np.tile(c >= 0, f)
+        if (cell.size, m.cols * f) != (diag.summands[src], diag.summands[dst]):
+            raise ShapeError(f"{edge} realised with the wrong shape")
+        rows = np.flatnonzero(live)
+        slot = filled[src][rows]
+        if rows.size and slot.max() > 1:
+            raise ShapeError(f"{edge} gives a row of lambda a third 1")
+        ends[src][rows, slot] = offsets[dst] + cell[rows]
+        filled[src][rows] += 1
+    return np.concatenate([np.empty((0, 2), dtype=np.int64), *ends.values()]), cols
+
+
+def graph_ker_coker(diag: Diagram, wa: WitnessSet, wb: WitnessSet) -> tuple[int, int]:
+    """Kernel and cokernel dimensions of lambda with seed-0 witnesses,
+    from a component count of its graph; no matrix is built."""
+    ends, cols = lambda_edges(diag, wa, wb)
+    rk = edge_rank(ends, cols)
+    return len(ends) - rk, cols - rk
 
 
 def eliminate(d: RealizedDiagram) -> RealizedDiagram:
@@ -436,13 +504,27 @@ def _rank_bounds(diag: Diagram, da: GenusData, dg: GenusData) -> tuple[int, int]
 def _glue_pairs(diagrams: dict[int, Diagram], da: GenusData, dg: GenusData, seed: int):
     """(ker, cok) by degree of ``diagrams`` realised with witness seed ``seed``.
 
-    Each piece's witnesses are synthesised once, each degree on first use."""
-    wa = synthesize_witnesses(da, seed)
-    wb = wa if dg is da else synthesize_witnesses(dg, seed)
+    Seed 0 ranks lambda as a graph (:func:`graph_ker_coker`), since its
+    witnesses are coordinate maps; any other seed by dense elimination of
+    the realised diagram.  Every lambda over MAX_LAMBDA_BYTES in that
+    engine's storage is refused here, before any witness is synthesised.
+    Each piece's witnesses are synthesised once, on first use, and each
+    degree is ranked on first use.
+    """
+    graph = seed == 0
+    for diag in diagrams.values():
+        _check_size(diag, graph)
+
+    @lru_cache(maxsize=None)
+    def witnesses() -> tuple[WitnessSet, WitnessSet]:
+        wa = synthesize_witnesses(da, seed)
+        return wa, wa if dg is da else synthesize_witnesses(dg, seed)
 
     @lru_cache(maxsize=None)
     def pair(r: int) -> tuple[int, int]:
-        return ker_coker(realize(diagrams[r], wa, wb))
+        if graph:
+            return graph_ker_coker(diagrams[r], *witnesses())
+        return ker_coker(realize(diagrams[r], *witnesses()))
 
     return pair
 

@@ -249,6 +249,55 @@ def test_rank_invariant_under_transpose():
         assert f2la.rank(m) == f2la.rank(BitMatrix.from_dense(m.to_dense().T))
 
 
+def edge_matrix(ends: np.ndarray, cols: int) -> BitMatrix:
+    """The matrix whose row k is e_u + e_v, (u, v) = ends[k]; an end equal to cols adds nothing."""
+    dense = np.zeros((len(ends), cols + 1), dtype=np.uint8)
+    for k, (u, v) in enumerate(ends):
+        dense[k, u] ^= 1
+        dense[k, v] ^= 1
+    return BitMatrix.from_dense(dense[:, :cols])
+
+
+def check_edge_rank(rows: int, cols: int, seed: int) -> None:
+    rng = np.random.default_rng(seed)
+    ends = rng.integers(0, cols + 1, size=(rows, 2))
+    # a repeated row, an empty row and a row whose ends coincide (also empty)
+    extra = [ends[rng.integers(rows)]] if rows else []
+    extra += [(cols, cols), (cols // 2, cols // 2)]
+    ends = np.concatenate([ends, np.array(extra, dtype=ends.dtype).reshape(-1, 2)])
+    assert f2la.edge_rank(ends, cols) == f2la.rank(edge_matrix(ends, cols))
+
+
+@pytest.mark.parametrize("cols", [0, 1, 63, 64, 65])
+@given(st.integers(0, 80), st.integers(0, 2**32 - 1))
+@settings(max_examples=15)
+def test_edge_rank_matches_elimination_at_word_boundaries(cols, rows, seed):
+    check_edge_rank(rows, cols, seed)
+
+
+@given(st.integers(0, 80), st.integers(0, 200), st.integers(0, 2**32 - 1))
+@settings(max_examples=60)
+def test_edge_rank_matches_elimination_random_width(rows, cols, seed):
+    check_edge_rank(rows, cols, seed)
+
+
+def test_edge_rank_of_a_long_path_and_a_cycle():
+    n = 500
+    path = np.stack([np.arange(n), np.arange(1, n + 1)], axis=1)  # n + 1 vertices, ground last
+    assert f2la.edge_rank(path[::-1], n) == n
+    cycle = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
+    assert f2la.edge_rank(cycle, n) == n - 1
+
+
+def test_edge_rank_rejects_ends_outside_the_columns():
+    with pytest.raises(ShapeError):
+        f2la.edge_rank(np.array([[0, 4]]), 3)
+    with pytest.raises(ShapeError):
+        f2la.edge_rank(np.array([[-1, 0]]), 3)
+    with pytest.raises(ShapeError):
+        f2la.edge_rank(np.array([0, 1, 2, 3]), 3)
+
+
 # ---------------------------------------------------------------------------
 # compose / add / assemble
 # ---------------------------------------------------------------------------

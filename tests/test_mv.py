@@ -9,7 +9,7 @@ from f2moduli.betti import m_coeff, mod2_table
 from f2moduli.cli import _split22_document
 from f2moduli.errors import ShapeError, ValidationError
 from f2moduli.f2la import BitMatrix, rank
-from f2moduli.moduli import MapRef, genus1_data, genus2_data
+from f2moduli.moduli import MapRef, genus1_data, genus2_data, nplus_betti
 from f2moduli.mv import (
     Diagram,
     EdgeSpec,
@@ -21,11 +21,13 @@ from f2moduli.mv import (
     describe,
     eliminate,
     glue_from_rows,
+    graph_ker_coker,
     hypothesis_data,
     infer_nu_ranks,
     is_forced_degree,
     joint_scan22,
     ker_coker,
+    lambda_edges,
     realize,
     split_report,
 )
@@ -140,6 +142,73 @@ def test_realize_checks_shapes(d1):
     bad = Diagram(diag.genus_pair, diag.degree, diag.summands, broken)
     with pytest.raises(ShapeError):
         realize(bad, *_wits(d1, d1))
+
+
+# ---------------------------------------------------------------------------
+# the graph engine
+# ---------------------------------------------------------------------------
+
+SPLITS_UP_TO_6 = [(a, g) for g in range(1, 6) for a in range(1, g + 1) if a + g <= 6]
+
+
+@pytest.mark.parametrize("a, g", SPLITS_UP_TO_6, ids=[f"{a}+{g}" for a, g in SPLITS_UP_TO_6])
+def test_graph_engine_matches_dense_elimination(a, g):
+    da = canonical_data(a)
+    wa, wb = _wits(da, da if a == g else canonical_data(g))
+    for r in range(6 * (a + g) - 2):
+        diag = build_split(r, a, g)
+        assert graph_ker_coker(diag, wa, wb) == ker_coker(realize(diag, wa, wb)), r
+
+
+def test_graph_engine_needs_seed_0_witnesses(d1):
+    with pytest.raises(ShapeError, match="not a coordinate map"):
+        graph_ker_coker(build_split(3, 1, 1), *_wits(d1, d1, seed=1))
+
+
+def _three_arrow_diagram(arrows: int) -> Diagram:
+    """One domain coordinate with ``arrows`` of its three 1 x 1 arrows (nu_0, nu_2, nu_0)."""
+    dom = ("dom", 0, 0)
+    edges = {
+        (dom, ("red", 0)): EdgeSpec("A", "nu", 0, "left", 1),
+        (dom, ("blue", 0)): EdgeSpec("B", "nu", 0, "right", 1),
+        (dom, ("red", 2)): EdgeSpec("A", "nu", 2, "left", 1),
+    }
+    summands = {dom: 1, ("red", 0): 1, ("blue", 0): 1, ("red", 2): 1}
+    return Diagram((1, 1), 0, summands, dict(list(edges.items())[:arrows]))
+
+
+def test_edge_builder_refuses_a_third_end(d1):
+    w = synthesize_witnesses(d1)
+    two, three = _three_arrow_diagram(2), _three_arrow_diagram(3)
+    assert graph_ker_coker(two, w, w) == ker_coker(realize(two, w, w)) == (0, 2)
+    # dense elimination ranks the row with three 1s; the graph has no edge for it
+    assert ker_coker(realize(three, w, w)) == (0, 2)
+    with pytest.raises(ShapeError, match="third 1"):
+        lambda_edges(three, w, w)
+
+
+def test_edge_builder_refuses_a_witness_row_with_two_columns(d1):
+    w = synthesize_witnesses(d1)
+    wide = replace(w, nu_hits=(np.array([[0, 0]]), *w.nu_hits[1:]))
+    with pytest.raises(ShapeError, match="nu_0 is not one column"):
+        lambda_edges(_three_arrow_diagram(2), wide, wide)
+
+
+def test_edge_builder_checks_shapes(d1):
+    diag = build_split(3, 1, 1)
+    key, spec = next(iter(diag.edges.items()))
+    broken = dict(diag.edges)
+    broken[key] = EdgeSpec(spec.side, spec.family, spec.degree, spec.position, spec.factor + 1)
+    bad = Diagram(diag.genus_pair, diag.degree, diag.summands, broken)
+    with pytest.raises(ShapeError, match="wrong shape"):
+        lambda_edges(bad, *_wits(d1, d1))
+
+
+def test_build_split_computes_each_halfspace_table_once():
+    nplus_betti.cache_clear()
+    for r in range(22):
+        build_split(r, 2, 2)
+    assert nplus_betti.cache_info().misses == 1
 
 
 # ---------------------------------------------------------------------------
@@ -451,10 +520,17 @@ def test_size_limit_refuses_before_synthesis(monkeypatch):
 
     monkeypatch.setattr(mv, "synthesize_witnesses", lambda *_: pytest.fail("synthesised"))
     with pytest.raises(ValidationError, match=r"split 2\+6 degree 18: lambda is 28391 x 35651"):
-        split_report(2, 6)
+        split_report(2, 6, (1,))
     with pytest.raises(ValidationError, match=r"split 1\+7 degree 19: .* 89.5 MiB packed"):
-        infer_nu_ranks(1, 7, {MapRef("nu", 2, 7): None})
-
+        split_report(1, 7, (1,))
+    # seed 0 first: no seed's witnesses are built before every seed's check
+    with pytest.raises(ValidationError, match=r"split 4\+4 degree 17: .* 84.9 MiB packed"):
+        split_report(4, 4, (0, 1))
+    # the graph engine holds two int64 ends per row of lambda
+    with pytest.raises(ValidationError, match=r"split 5\+6 degree 29: .* 70.9 MiB as edges"):
+        split_report(5, 6)
+    with pytest.raises(ValidationError, match=r"split 5\+6 degree 29: .* 70.9 MiB as edges"):
+        infer_nu_ranks(5, 6, {MapRef("nu", 2, 5): None})
 
 
 def _count_syntheses(monkeypatch) -> list:

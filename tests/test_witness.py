@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -126,3 +127,19 @@ def test_canonical_witnesses_are_partial_permutations(w1, w2):
         for m in (*ws.nu, *ws.rho):
             dense = m.to_dense()
             assert (dense.sum(axis=1) <= 1).all() and (dense.sum(axis=0) <= 1).all()
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_canonical_hits_reproduce_every_witness_matrix(g):
+    ws = synthesize_witnesses(canonical_data(g), 0)
+    for maps, hits in ((ws.nu, ws.nu_hits), (ws.rho, ws.rho_hits)):
+        assert len(hits) == len(maps) == 6 * g + 1
+        for m, c in zip(maps, hits):
+            dense = np.zeros((m.rows, m.cols), dtype=np.uint8)
+            dense[np.flatnonzero(c >= 0), c[c >= 0]] = 1
+            assert c.shape == (m.rows,) and np.array_equal(dense, m.to_dense())
+
+
+def test_seeded_witnesses_carry_no_hits():
+    ws = synthesize_witnesses(genus2_data(), 1)
+    assert ws.nu_hits is None and ws.rho_hits is None
