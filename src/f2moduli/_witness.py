@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import InfeasibleError
 from .f2la import (
+    WORD,
     BitMatrix,
     block_assemble,
     compose,
@@ -52,9 +53,12 @@ def _coordinate_map(
         raise InfeasibleError("kernel and image selections disagree on the rank")
     hits = np.full(dom, -1, dtype=np.int64)
     hits[alive] = image_cols
-    dense = np.zeros((dom, cod), dtype=np.uint8)
-    dense[alive, image_cols] = 1
-    return BitMatrix.from_dense(dense), hits
+    # set one bit per surviving row straight into the packed words, so no
+    # dom x cod byte array is ever held
+    cols = hits[alive]
+    bits = np.zeros((dom, max(1, -(-cod // WORD))), dtype=np.uint64)
+    bits[alive, cols // WORD] = np.uint64(1) << (cols % WORD).astype(np.uint64)
+    return BitMatrix(dom, cod, bits), hits
 
 
 @dataclass(frozen=True)
@@ -71,8 +75,8 @@ class WitnessSet:
     data: GenusData
     nu: tuple[BitMatrix, ...]
     rho: tuple[BitMatrix, ...]
-    nu_hits: tuple[np.ndarray, ...] | None = field(default=None, compare=False, repr=False)
-    rho_hits: tuple[np.ndarray, ...] | None = field(default=None, compare=False, repr=False)
+    nu_hits: tuple[np.ndarray, ...] | None = field(compare=False, repr=False)
+    rho_hits: tuple[np.ndarray, ...] | None = field(compare=False, repr=False)
 
     def mu(self, r: int) -> BitMatrix:
         """The stacked map on H_r + H_{r-2}, rows of nu_r over rows of rho_r."""

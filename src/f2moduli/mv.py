@@ -123,11 +123,14 @@ class RealizedDiagram:
     edges: dict[tuple[Label, Label], BitMatrix]
 
 
-# the largest lambda a split or an inference may hold, in the storage of the
-# engine that ranks it.  Packed for the dense engine, it admits every degree
+# the largest lambda a split or an inference may hold, in the form the engine
+# that ranks it takes.  Packed for the dense engine, it admits every degree
 # of 3+4, 2+5 and 1+6 (36 MiB at most) and refuses the middle degrees of 4+4,
-# 2+6 and 1+7 (85 to 676 MiB); as two int64 ends per row for the graph engine,
-# it admits 4+4, 2+6, 1+7, 4+5 and 5+5 (19.3 MiB at most) and refuses 5+6.
+# 2+6 and 1+7 (85 to 676 MiB).  As the edge list of the graph engine (two
+# int64 ends per row; ranking holds a few times that besides) it admits 4+4,
+# 2+6, 1+7, 4+5 and 5+5 (19.3 MiB at most) and refuses 5+6.  The same bound
+# holds each piece's witnesses, packed: genus 7 (mu at most 15.3 MiB) passes,
+# genus 8 and up do not.
 MAX_LAMBDA_BYTES = 64 * 2**20
 
 
@@ -178,16 +181,32 @@ def build_split(r: int, a: int, g: int) -> Diagram:
     return Diagram((a, g), r, summands, edges)
 
 
+def _refuse_over_limit(what: str, rows: int, cols: int, size: int, form: str) -> None:
+    if size > MAX_LAMBDA_BYTES:
+        raise ValidationError(
+            f"{what} is {rows} x {cols}, {size / 2**20:.1f} MiB {form}, "
+            f"over the {MAX_LAMBDA_BYTES // 2**20} MiB limit"
+        )
+
+
 def _check_size(diag: Diagram, graph: bool) -> None:
-    """Refuse a lambda over MAX_LAMBDA_BYTES in its engine's storage."""
+    """Refuse a lambda over MAX_LAMBDA_BYTES in the form its engine takes."""
     rows, cols = diag.domain_dim(), diag.codomain_dim()
     size, form = (rows * 16, "as edges") if graph else (rows * -(-cols // 64) * 8, "packed")
-    if size > MAX_LAMBDA_BYTES:
-        a, g = diag.genus_pair
-        raise ValidationError(
-            f"split {a}+{g} degree {diag.degree}: lambda is {rows} x {cols}, "
-            f"{size / 2**20:.1f} MiB {form}, over the {MAX_LAMBDA_BYTES // 2**20} MiB limit"
-        )
+    a, g = diag.genus_pair
+    _refuse_over_limit(f"split {a}+{g} degree {diag.degree}: lambda", rows, cols, size, form)
+
+
+def _check_witness_size(data: GenusData) -> None:
+    """Refuse a genus whose witnesses hold a matrix over MAX_LAMBDA_BYTES packed.
+
+    mu_r stacks nu_r over rho_r, so it is the largest matrix a synthesis
+    builds and its self-check ranks, at every seed.
+    """
+    for r in range(6 * data.genus + 1):
+        rows, cols = data.h[r] + data.h[r - 2], data.nplus[r]
+        size = rows * -(-cols // 64) * 8
+        _refuse_over_limit(f"genus {data.genus} witnesses: mu_{r}", rows, cols, size, "packed")
 
 
 def realize(diag: Diagram, wa: WitnessSet, wb: WitnessSet) -> RealizedDiagram:
@@ -254,14 +273,14 @@ def lambda_edges(diag: Diagram, wa: WitnessSet, wb: WitnessSet) -> tuple[np.ndar
     Raises ShapeError where a row would get a third end, a witness row
     is not one column, or an arrow has the wrong shape.
     """
-    offsets, cols = {}, 0
+    offsets, rows, cols = {}, 0, 0
     for label, dim in diag.summands.items():
-        if label[0] != "dom":
-            offsets[label] = cols
-            cols += dim
-    ends = {l: np.full((d, 2), cols, dtype=np.int64) for l, d in diag.summands.items()
-            if l[0] == "dom"}
-    filled = {l: np.zeros(len(e), dtype=np.int64) for l, e in ends.items()}
+        if label[0] == "dom":
+            offsets[label], rows = rows, rows + dim
+        else:
+            offsets[label], cols = cols, cols + dim
+    # an end still at ``cols`` is an empty slot: every real end is below it
+    ends = np.full((rows, 2), cols, dtype=np.int64)
     for (src, dst), spec in diag.edges.items():
         edge = f"edge {src}->{dst}"
         w = wa if spec.side == "A" else wb
@@ -279,13 +298,12 @@ def lambda_edges(diag: Diagram, wa: WitnessSet, wb: WitnessSet) -> tuple[np.ndar
             live = np.tile(c >= 0, f)
         if (cell.size, m.cols * f) != (diag.summands[src], diag.summands[dst]):
             raise ShapeError(f"{edge} realised with the wrong shape")
-        rows = np.flatnonzero(live)
-        slot = filled[src][rows]
-        if rows.size and slot.max() > 1:
+        hit = np.flatnonzero(live)
+        slot = (ends[offsets[src] + hit] != cols).sum(axis=1)
+        if hit.size and slot.max() > 1:
             raise ShapeError(f"{edge} gives a row of lambda a third 1")
-        ends[src][rows, slot] = offsets[dst] + cell[rows]
-        filled[src][rows] += 1
-    return np.concatenate([np.empty((0, 2), dtype=np.int64), *ends.values()]), cols
+        ends[offsets[src] + hit, slot] = offsets[dst] + cell[hit]
+    return ends, cols
 
 
 def graph_ker_coker(diag: Diagram, wa: WitnessSet, wb: WitnessSet) -> tuple[int, int]:
@@ -506,14 +524,17 @@ def _glue_pairs(diagrams: dict[int, Diagram], da: GenusData, dg: GenusData, seed
 
     Seed 0 ranks lambda as a graph (:func:`graph_ker_coker`), since its
     witnesses are coordinate maps; any other seed by dense elimination of
-    the realised diagram.  Every lambda over MAX_LAMBDA_BYTES in that
-    engine's storage is refused here, before any witness is synthesised.
+    the realised diagram.  Every lambda over MAX_LAMBDA_BYTES in the form
+    that engine takes, and every piece whose witnesses would hold a
+    matrix over it, is refused here, before any witness is synthesised.
     Each piece's witnesses are synthesised once, on first use, and each
     degree is ranked on first use.
     """
     graph = seed == 0
     for diag in diagrams.values():
         _check_size(diag, graph)
+    _check_witness_size(da)
+    _check_witness_size(dg)
 
     @lru_cache(maxsize=None)
     def witnesses() -> tuple[WitnessSet, WitnessSet]:

@@ -281,16 +281,32 @@ def test_mv_degree_out_of_range(capsys):
 
 
 # the dense engine (any witness seed but 0) holds lambda packed; at seed 0,
-# where mv and infer run the graph engine, 4+4 and 2+6 run
+# where mv and infer run the graph engine, 4+4 and 2+6 run.  A 1+g lambda
+# is a few MiB of edges at seed 0, but from genus 8 on the witnesses
+# themselves are over the limit
 OVERSIZED = {
     "4+4": "error: split 4+4 degree 17: lambda is 25070 x 28374, "
     "84.9 MiB packed, over the 64 MiB limit\n",
     "2+6": "error: split 2+6 degree 18: lambda is 28391 x 35651, "
     "120.9 MiB packed, over the 64 MiB limit\n",
+    "1+8": "error: genus 8 witnesses: mu_21 is 33218 x 18325, "
+    "72.7 MiB packed, over the 64 MiB limit\n",
+    "1+9": "error: genus 9 witnesses: mu_18 is 25010 x 21778, "
+    "65.1 MiB packed, over the 64 MiB limit\n",
 }
 
 
-@pytest.mark.parametrize("argv", [["mv", "--split", split, "--seed", "1"] for split in OVERSIZED])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mv", "--split", "4+4", "--seed", "1"],
+        ["mv", "--split", "2+6", "--seed", "1"],
+        ["mv", "--split", "1+8"],
+        ["mv", "--split", "1+9"],
+        ["mv", "--split", "1+9", "--degree", "0"],
+        ["infer", "--split", "1+9", "--unknown", "nu_2^1"],
+    ],
+)
 def test_oversized_split_exits_1_at_once(capsys, argv):
     start = time.perf_counter()
     code, out, err = run(capsys, argv)

@@ -13,7 +13,6 @@ from f2moduli.moduli import MapRef, genus1_data, genus2_data, nplus_betti
 from f2moduli.mv import (
     Diagram,
     EdgeSpec,
-    MAX_LAMBDA_BYTES,
     RealizedDiagram,
     build_split,
     canonical_data,
@@ -531,6 +530,18 @@ def test_size_limit_refuses_before_synthesis(monkeypatch):
         split_report(5, 6)
     with pytest.raises(ValidationError, match=r"split 5\+6 degree 29: .* 70.9 MiB as edges"):
         infer_nu_ranks(5, 6, {MapRef("nu", 2, 5): None})
+    # a 1+8 lambda is 2.9 MiB as edges, but one genus-8 witness is not
+    with pytest.raises(ValidationError, match=r"genus 8 witnesses: mu_21 .* 72.7 MiB packed"):
+        split_report(1, 8)
+    with pytest.raises(ValidationError, match=r"genus 8 witnesses: mu_21"):
+        infer_nu_ranks(1, 8, {MapRef("nu", 2, 1): None})
+
+
+def test_witness_limit_admits_genus_7():
+    import f2moduli.mv as mv
+
+    for g in range(1, 8):
+        mv._check_witness_size(canonical_data(g))
 
 
 def _count_syntheses(monkeypatch) -> list:
@@ -597,9 +608,15 @@ def test_inference_builds_each_degree_once_for_all_candidates(monkeypatch):
     assert sorted(calls) == list(range(22))
 
 
-def test_size_limit_admits_3_plus_4():
-    sizes = []
-    for r in range(40):
-        diag = build_split(r, 3, 4)
-        sizes.append(diag.domain_dim() * -(-diag.codomain_dim() // 64) * 8)
-    assert 32 * 2**20 < max(sizes) <= MAX_LAMBDA_BYTES
+def test_size_limit_admits_3_plus_4(monkeypatch):
+    import f2moduli.mv as mv
+
+    diagrams = [build_split(r, 3, 4) for r in range(40)]
+    for diag in diagrams:
+        mv._check_size(diag, False)
+        mv._check_size(diag, True)
+    # and not by a wide margin: the dense engine's largest lambda is over 32 MiB
+    monkeypatch.setattr(mv, "MAX_LAMBDA_BYTES", 32 * 2**20)
+    with pytest.raises(ValidationError, match=r"split 3\+4 degree \d+: .* MiB packed"):
+        for diag in diagrams:
+            mv._check_size(diag, False)

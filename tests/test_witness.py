@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from f2moduli._witness import synthesize_witnesses
+from f2moduli._witness import _coordinate_map, synthesize_witnesses
 from f2moduli.errors import InfeasibleError
 from f2moduli.f2la import rank
 from f2moduli.moduli import genus1_data, genus2_data
@@ -143,3 +143,16 @@ def test_canonical_hits_reproduce_every_witness_matrix(g):
 def test_seeded_witnesses_carry_no_hits():
     ws = synthesize_witnesses(genus2_data(), 1)
     assert ws.nu_hits is None and ws.rho_hits is None
+
+
+@pytest.mark.parametrize("dom, cod", [(0, 0), (0, 5), (3, 0), (1, 1), (70, 63), (70, 64), (70, 65), (9, 130)])
+def test_coordinate_map_sets_one_bit_per_surviving_row(dom, cod):
+    rng = np.random.default_rng(dom * 1000 + cod)
+    keep = min(dom, cod)
+    alive = np.sort(rng.choice(dom, keep, replace=False)) if keep else np.array([], dtype=int)
+    image = [int(c) for c in rng.choice(cod, keep, replace=False)] if keep else []
+    m, hits = _coordinate_map(dom, cod, set(range(dom)) - set(alive.tolist()), image)
+    want = np.zeros((dom, cod), dtype=np.uint8)
+    want[alive, image] = 1
+    assert (m.rows, m.cols) == (dom, cod) and np.array_equal(m.to_dense(), want)
+    assert rank(m) == keep and hits[alive].tolist() == image
