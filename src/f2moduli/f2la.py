@@ -20,7 +20,6 @@ counts its connected components instead.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -34,7 +33,6 @@ __all__ = [
     "rank",
     "edge_rank",
     "compose",
-    "add",
     "block_assemble",
     "kron",
     "inverse",
@@ -248,13 +246,6 @@ def compose(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     return BitMatrix(a.rows, b.cols, out)
 
 
-def add(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    """Entrywise sum (XOR)."""
-    if a.rows != b.rows or a.cols != b.cols:
-        raise ShapeError(f"add: shapes {a.rows}x{a.cols} and {b.rows}x{b.cols}")
-    return BitMatrix(a.rows, a.cols, a._bits ^ b._bits)
-
-
 def block_assemble(
     blocks: dict[tuple[int, int], BitMatrix],
     row_dims: Sequence[int],
@@ -322,6 +313,10 @@ def inverse(m: BitMatrix) -> BitMatrix:
 
 def rng_for(seed: int, tag: str) -> np.random.Generator:
     """Generator keyed by (seed, tag); stable across platforms and runs."""
+    # hashlib loads OpenSSL; only seeded witnesses need it, so seed-0 runs
+    # never import it
+    import hashlib
+
     h = hashlib.blake2b(f"{seed}:{tag}".encode(), digest_size=8).digest()
     return np.random.Generator(np.random.PCG64(int.from_bytes(h, "little")))
 

@@ -17,9 +17,8 @@ also carries the closed-form kernel/cokernel expressions for 1+g splits
 at the degrees where the profiles force them, two rank engines for
 lambda (a component count for the seed-0 witnesses, which make lambda
 the incidence matrix of a graph, and dense elimination for any other
-seed), a block Gaussian elimination for realised diagrams, one report
-that turns any split into rows (:func:`split_report`), and one rank
-inference for unrecorded arrows (:func:`infer_nu_ranks`).
+seed), one report that turns any split into rows (:func:`split_report`),
+and one rank inference for unrecorded arrows (:func:`infer_nu_ranks`).
 """
 
 from __future__ import annotations
@@ -36,11 +35,8 @@ from .errors import ShapeError, ValidationError
 from ._witness import WitnessSet, synthesize_witnesses
 from .f2la import (
     BitMatrix,
-    add,
     block_assemble,
-    compose,
     edge_rank,
-    inverse,
     kron,
     rank,
 )
@@ -63,7 +59,6 @@ __all__ = [
     "ker_coker",
     "lambda_edges",
     "graph_ker_coker",
-    "eliminate",
     "glue_from_rows",
     "is_forced_degree",
     "closed_form_ker_coker",
@@ -312,39 +307,6 @@ def graph_ker_coker(diag: Diagram, wa: WitnessSet, wb: WitnessSet) -> tuple[int,
     ends, cols = lambda_edges(diag, wa, wb)
     rk = edge_rank(ends, cols)
     return len(ends) - rk, cols - rk
-
-
-def eliminate(d: RealizedDiagram) -> RealizedDiagram:
-    """Cancel invertible edges until none remain.
-
-    Pivoting on an invertible edge A: D -> C deletes D and C and adds the
-    correction F A^-1 E to every edge D' -> C' with F: D' -> C and
-    E: D -> C'.  This is block Gaussian elimination, so kernel and
-    cokernel dimensions are preserved; the fixpoint is the reduced
-    diagram.  Pivot choice is by sorted edge key, so the result is
-    deterministic.
-    """
-    summands = dict(d.summands)
-    edges = dict(d.edges)
-    while True:
-        pivot = None
-        for key in sorted(edges):
-            m = edges[key]
-            if m.rows == m.cols > 0 and rank(m) == m.rows:
-                pivot = key
-                break
-        if pivot is None:
-            return RealizedDiagram(summands, edges)
-        src, dst = pivot
-        a_inv = inverse(edges.pop(pivot))
-        into = [(s, edges.pop((s, t))) for (s, t) in sorted(edges) if t == dst]
-        outof = [(t, edges.pop((s, t))) for (s, t) in sorted(edges) if s == src]
-        for s2, f in into:
-            for t2, e in outof:
-                fill = compose(compose(f, a_inv), e)
-                key = (s2, t2)
-                edges[key] = add(edges[key], fill) if key in edges else fill
-        del summands[src], summands[dst]
 
 
 # ---------------------------------------------------------------------------

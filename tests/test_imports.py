@@ -7,9 +7,13 @@
 * Every function, class, method and property defined in the package is
   named somewhere in the package or in ``scripts/`` outside its own
   definition; one that only tests reach goes.
+* A seed-0 split loads neither OpenSSL (through ``hashlib``) nor
+  ``numpy.ma``, each over a MiB of resident memory.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from collections import defaultdict
 from pathlib import Path
@@ -53,8 +57,6 @@ def test_cli_imports_no_private_names():
 
 # defined in the package and named by no command or script, kept on purpose
 KEPT = {
-    "eliminate": "the acceptance gate checks ker_coker against block elimination, "
-    "and ROADMAP item 1 keeps it for that",
     "error": "argparse calls _Parser.error on a usage error",
     "from_rows": "perfbench's tracer test builds its matrix with it, and perfbench/ "
     "changes only together with the benchmark",
@@ -86,3 +88,26 @@ def test_every_routine_reaches_a_user():
     extra = [name for name in unreached if name not in KEPT]
     assert extra == [], f"only tests reach {extra}: delete them"
     assert unreached == sorted(KEPT), "a name in KEPT is now reached: drop it from KEPT"
+
+
+_LOADED_BY_SPLIT = """
+import contextlib, io, sys
+import numpy
+before = set(sys.modules)
+from f2moduli import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["mv", "--split", "2+2", "--format", "json"])
+print(code, *sorted(set(sys.modules) - before))
+"""
+
+
+def test_seed_0_split_loads_no_openssl_and_no_masked_arrays():
+    # modules numpy itself loads on import are not the package's doing
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", _LOADED_BY_SPLIT],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert out[0] == "0"
+    assert "f2moduli.mv" in out[1:]
+    assert "_hashlib" not in out[1:] and "numpy.ma" not in out[1:]

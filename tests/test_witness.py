@@ -1,12 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from f2moduli._witness import _coordinate_map, synthesize_witnesses
+from f2moduli import _witness
+from f2moduli._witness import _columns_hit, _coordinate_map, synthesize_witnesses
 from f2moduli.errors import InfeasibleError
-from f2moduli.f2la import rank
-from f2moduli.moduli import genus1_data, genus2_data
+from f2moduli.f2la import BitMatrix, rank
+from f2moduli.moduli import MapProfile, genus1_data, genus2_data
 from f2moduli.mv import canonical_data, hypothesis_data
 
 
@@ -129,8 +132,10 @@ def test_canonical_witnesses_are_partial_permutations(w1, w2):
             assert (dense.sum(axis=1) <= 1).all() and (dense.sum(axis=0) <= 1).all()
 
 
-@pytest.mark.parametrize("g", [1, 2, 3, 4])
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 6])
 def test_canonical_hits_reproduce_every_witness_matrix(g):
+    # the seed-0 self-check counts these hits, so they must be exactly the
+    # matrices lambda_edges and verify read
     ws = synthesize_witnesses(canonical_data(g), 0)
     for maps, hits in ((ws.nu, ws.nu_hits), (ws.rho, ws.rho_hits)):
         assert len(hits) == len(maps) == 6 * g + 1
@@ -156,3 +161,98 @@ def test_coordinate_map_sets_one_bit_per_surviving_row(dom, cod):
     want[alive, image] = 1
     assert (m.rows, m.cols) == (dom, cod) and np.array_equal(m.to_dense(), want)
     assert rank(m) == keep and hits[alive].tolist() == image
+
+
+# ---------------------------------------------------------------------------
+# the seed-0 self-check counts hit columns
+# ---------------------------------------------------------------------------
+
+
+def _matrix_of(width: int, *hits: np.ndarray) -> BitMatrix:
+    """The rows of each hit array stacked, row i a unit vector at hits[i] or zero."""
+    rows = np.concatenate([np.asarray(h, dtype=np.int64) for h in hits])
+    dense = np.zeros((rows.size, width), dtype=np.uint8)
+    live = np.flatnonzero(rows >= 0)
+    dense[live, rows[live]] = 1
+    return BitMatrix.from_dense(dense)
+
+
+@pytest.mark.parametrize("g", range(1, 7))
+def test_hit_count_is_the_rank_of_every_canonical_map(g):
+    ws = synthesize_witnesses(canonical_data(g), 0)
+    for r in range(6 * g + 1):
+        n, p, w = ws.nu_hits[r], ws.rho_hits[r], ws.data.nplus[r]
+        assert _columns_hit(w, n) == rank(ws.nu[r]), f"nu {r}"
+        assert _columns_hit(w, p) == rank(ws.rho[r]), f"rho {r}"
+        assert _columns_hit(w, n, p) == rank(ws.mu(r)), f"mu {r}"
+
+
+def test_seed_0_synthesis_ranks_no_matrix(monkeypatch):
+    calls = []
+    monkeypatch.setattr(_witness, "rank", lambda m: calls.append(m) or rank(m))
+    for g in range(1, 5):
+        synthesize_witnesses(canonical_data(g), 0)
+    assert calls == []
+    # every other seed still checks by dense elimination
+    synthesize_witnesses(genus1_data(), 1)
+    assert len(calls) == 3 * 7
+
+
+def _random_hits(rng: np.random.Generator, width: int) -> np.ndarray:
+    """A partial injection into ``width`` columns: distinct columns on some rows, -1 elsewhere."""
+    rows = int(rng.integers(0, 80))
+    k = int(rng.integers(0, min(rows, width) + 1))
+    hits = np.full(rows, -1, dtype=np.int64)
+    hits[rng.choice(rows, k, replace=False)] = rng.choice(width, k, replace=False)
+    return hits
+
+
+WIDTHS = st.one_of(st.sampled_from([0, 1, 63, 64, 65]), st.integers(0, 300))
+
+
+@given(WIDTHS, st.integers(0, 2**32 - 1))
+@settings(max_examples=60)
+def test_hit_count_is_the_rank_of_random_partial_injections(width, seed):
+    rng = np.random.default_rng(seed)
+    n, p = _random_hits(rng, width), _random_hits(rng, width)
+    assert _columns_hit(width, n) == rank(_matrix_of(width, n))
+    assert _columns_hit(width, p) == rank(_matrix_of(width, p))
+    # the two share columns at random, as nu_r and rho_r do inside mu_r
+    assert _columns_hit(width, n, p) == rank(_matrix_of(width, n, p))
+
+
+def _with_hits(ws, family: str, r: int, hits: np.ndarray):
+    field = f"{family}_hits"
+    maps = list(getattr(ws, field))
+    maps[r] = hits
+    return replace(ws, **{field: tuple(maps)})
+
+
+@given(st.sampled_from(["nu", "rho"]), st.integers(0, 2**32 - 1))
+@settings(max_examples=40)
+def test_a_duplicated_hit_column_is_reported(w2, family, seed):
+    rng = np.random.default_rng(seed)
+    hits = getattr(w2, f"{family}_hits")
+    degrees = [r for r in range(13) if np.count_nonzero(hits[r] >= 0) >= 2]
+    r = int(rng.choice(degrees))
+    live = np.flatnonzero(hits[r] >= 0)
+    i, j = rng.choice(live, 2, replace=False)
+    bad = hits[r].copy()
+    bad[i] = bad[j]
+    failures = _with_hits(w2, family, r, bad).check()
+    assert f"{family} rank at degree {r}" in failures
+    assert all(f.endswith(f" at degree {r}") for f in failures)
+
+
+@given(st.sampled_from(["nu", "rho", "mu"]), st.integers(0, 12), st.sampled_from([-1, 1]))
+@settings(max_examples=60)
+def test_a_profile_rank_off_by_one_is_reported(w2, family, r, step):
+    d = w2.data
+    prof = getattr(d, family)[r]
+    wrong = prof.rank + step
+    if not 0 <= wrong <= min(prof.dom, prof.cod):
+        return
+    maps = list(getattr(d, family))
+    maps[r] = MapProfile(wrong, prof.dom, prof.cod)
+    ws = replace(w2, data=replace(d, **{family: tuple(maps)}))
+    assert ws.check() == [f"{family} rank at degree {r}"]
