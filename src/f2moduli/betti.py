@@ -78,6 +78,14 @@ class BettiTable:
             return self.values[r]
         return 0
 
+    def __iter__(self):
+        """The entries from degree 0 to the top degree.
+
+        Without this, iteration would fall back on ``__getitem__``, which
+        never runs out of (zero) degrees.
+        """
+        return iter(self.values)
+
     @property
     def top_degree(self) -> int:
         return len(self.values) - 1

@@ -9,9 +9,12 @@ platform.  All operations are pure: a ``BitMatrix`` is never mutated after
 construction, and every routine that "modifies" a matrix returns a fresh
 one.
 
-Elimination uses a fixed pivot order (leftmost unused column first, then
-topmost available row), which makes ranks, inverses and synthesized
-witnesses reproducible across runs and platforms.
+Elimination clears eight columns at a time with tables of row
+combinations (the Four-Russians method).  Its pivots are the leftmost
+columns that the row space allows, and its reduced form is the unique
+reduced echelon form: the row space fixes both, so which rows serve as
+pivots does not matter, and ranks, pivot lists, inverses and synthesized
+witnesses are the same on every run and platform.
 
 A matrix whose every row has at most two 1s never needs elimination: it
 is the edge-vertex incidence matrix of a graph, and :func:`edge_rank`
@@ -20,6 +23,7 @@ counts its connected components instead.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,6 +31,7 @@ import numpy as np
 from .errors import ShapeError
 
 WORD = 64
+STRIP = 8  # columns per elimination step: one byte of a word
 
 __all__ = [
     "BitMatrix",
@@ -153,37 +158,108 @@ class BitMatrix:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _gray(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gray-code order for a table of the 2^k - 1 nonzero XORs of k rows.
+
+    Step i of the k-bit Gray code flips row ``flips[i]``, so accumulating
+    XOR over the rows in that order reaches every nonzero combination
+    once.  The combination that holds row j when bit j of c is set is
+    reached at step ``place[c]``.
+    """
+    step = np.arange(1, 1 << k)
+    place = np.zeros(1 << k, dtype=np.intp)
+    place[step ^ (step >> 1)] = step - 1
+    flips = np.log2(step & -step).astype(np.intp)
+    flips.setflags(write=False)
+    place.setflags(write=False)
+    return flips, place
+
+
+def _candidates(codes: np.ndarray, live: np.ndarray):
+    """(code, row) pairs from which a strip's basis grows: the distinct
+    codes of its first live rows in order of appearance, then one row for
+    every distinct code, so the codes' span is complete when they run out.
+    """
+    head = 64  # enough rows to fill a strip's basis when the codes are dense
+    yield from dict(zip(codes[:head].tolist(), live[:head].tolist())).items()
+    if codes.size > head:
+        rep = np.empty(1 << STRIP, dtype=np.intp)
+        rep[codes] = live
+        present = np.bincount(codes, minlength=1 << STRIP).nonzero()[0]
+        yield from zip(present.tolist(), rep[present].tolist())
+
+
 def _echelon(bits: np.ndarray, rows: int, cols: int, reduced: bool = False):
-    """In-place row echelon form with the fixed pivot order.
+    """In-place row echelon form, eight columns at a time.
 
     Returns (rank, pivot column list).  With ``reduced`` the result is the
     Gauss-Jordan form (pivot columns cleared above the pivot as well).
+
+    This is the Four-Russians method (M4RI: Albrecht, Bard and Hart, ACM
+    TOMS 2010).  A strip of eight columns is one byte of a word, so each
+    row's bits there read as a code below 256.  The rows below the pivots
+    found so far (the active rows) are zero left of the strip.  One active
+    row per distinct code, taken in order until the codes' span is full,
+    gives the strip's pivots and a basis of m rows.  A table of all 2^m
+    combinations of the basis rows then clears the strip from every active
+    row, and with ``reduced`` from the finished pivot rows as well, in one
+    gather and XOR.  Table rows are zero left of the strip, so only the
+    words from the strip onward are touched.
     """
+    signed = bits.view(np.int64)  # arithmetic shifts give index-typed codes
     r = 0
     pivots: list[int] = []
-    for col in range(cols):
+    for c0 in range(0, cols, STRIP):
         if r == rows:
             break
-        w = col // WORD
-        b = np.uint64(col % WORD)
-        colvals = (bits[r:, w] >> b) & np.uint64(1)
-        nz = np.nonzero(colvals)[0]
-        if nz.size == 0:
+        w, shift = divmod(c0, WORD)
+        k = min(STRIP, cols - c0)
+        active = bits[r:, w:]
+        codes = (signed[r:, w] >> shift) & ((1 << k) - 1)
+        live = codes.nonzero()[0]
+        if not live.size:
             continue
-        p = r + int(nz[0])
-        if p != r:
-            bits[[r, p]] = bits[[p, r]]
-        below = (bits[r + 1 :, w] >> b) & np.uint64(1)
-        sel = np.nonzero(below)[0] + r + 1
-        if sel.size:
-            bits[sel] ^= bits[r]
+        codes = codes[live]
+        # ech maps each pivot bit (a lowest set bit) to the reduced basis
+        # code that holds it; piv is their union
+        basis, ech, piv = [], {}, 0
+        for c, i in _candidates(codes, live):
+            t = c & piv
+            while t:
+                lb = t & -t
+                c ^= ech[lb]
+                t ^= lb
+            if c:
+                lb = c & -c
+                for p, e in ech.items():
+                    if e & lb:
+                        ech[p] = e ^ c
+                ech[lb] = c
+                piv |= lb
+                basis.append(i)
+                if len(basis) == k:
+                    break
+        m = len(basis)
+        flips, _ = _gray(m)
+        table = np.bitwise_xor.accumulate(active[np.array(basis)[flips]], axis=0)
+        # a row's bits at the pivots pick the one table row that clears them
+        at = np.empty(1 << STRIP, dtype=np.intp)
+        at[(table[:, 0].view(np.int64) >> shift) & piv] = np.arange(len(table))
+        active[live] ^= table[at[codes & piv]]
         if reduced and r:
-            above = (bits[:r, w] >> b) & np.uint64(1)
-            sel = np.nonzero(above)[0]
-            if sel.size:
-                bits[sel] ^= bits[r]
-        pivots.append(col)
-        r += 1
+            done = (signed[:r, w] >> shift) & piv
+            hit = done.nonzero()[0]
+            bits[hit, w:] ^= table[at[done[hit]]]
+        # the basis rows are now zero: move the rows in the pivot slots into
+        # them, and put the reduced strip rows, in pivot order, in the slots
+        movers = [i for i in range(m) if i not in basis]
+        if movers:
+            active[[i for i in basis if i >= m]] = active[movers]
+        order = sorted(ech)
+        active[:m] = table[at[order]]
+        pivots.extend(c0 + lb.bit_length() - 1 for lb in order)
+        r += m
     return r, pivots
 
 
@@ -233,17 +309,33 @@ def edge_rank(ends: np.ndarray, cols: int) -> int:
             parent = up
 
 
+def _product(a: np.ndarray, inner: int, b: np.ndarray) -> np.ndarray:
+    """Packed rows of a @ b over GF(2), where ``a`` has ``inner`` columns.
+
+    The Four-Russians product (M4RM): for each strip of eight columns of
+    ``a``, a table holds every XOR of the matching rows of ``b``, and each
+    row of ``a`` whose strip code is nonzero takes its table row.
+    """
+    signed = a.view(np.int64)
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint64)
+    for c0 in range(0, inner, STRIP):
+        w, shift = divmod(c0, WORD)
+        k = min(STRIP, inner - c0)
+        codes = (signed[:, w] >> shift) & ((1 << k) - 1)
+        live = codes.nonzero()[0]
+        if not live.size:
+            continue
+        flips, place = _gray(k)
+        table = np.bitwise_xor.accumulate(b[c0 + flips], axis=0)
+        out[live] ^= table[place[codes[live]]]
+    return out
+
+
 def compose(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """Matrix product ``a @ b`` over GF(2) (apply ``b`` first, then ``a``)."""
     if a.cols != b.rows:
         raise ShapeError(f"compose: a is {a.rows}x{a.cols}, b is {b.rows}x{b.cols}")
-    dense = a.to_dense()
-    out = np.zeros((a.rows, b._bits.shape[1]), dtype=np.uint64)
-    for i in range(a.rows):
-        sup = np.flatnonzero(dense[i])
-        if sup.size:
-            out[i] = np.bitwise_xor.reduce(b._bits[sup], axis=0)
-    return BitMatrix(a.rows, b.cols, out)
+    return BitMatrix(a.rows, b.cols, _product(a._bits, a.cols, b._bits))
 
 
 def block_assemble(
@@ -289,7 +381,10 @@ def block_assemble(
 
 def kron(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """Kronecker product; used for maps of the form (profile x identity)."""
-    return BitMatrix.from_dense(np.kron(a.to_dense(), b.to_dense()))
+    # entry (i*b.rows + k, j*b.cols + l) is a[i, j] & b[k, l]
+    da, db = a.to_dense(), b.to_dense()
+    dense = da[:, None, :, None] & db[None, :, None, :]
+    return BitMatrix.from_dense(dense.reshape(a.rows * b.rows, a.cols * b.cols))
 
 
 def inverse(m: BitMatrix) -> BitMatrix:
@@ -327,9 +422,10 @@ def random_invertible(n: int, rng: np.random.Generator) -> BitMatrix:
     Unit-diagonal triangular factors and a permutation guarantee
     invertibility without rejection sampling.
     """
-    lo = np.tril(rng.integers(0, 2, size=(n, n), dtype=np.uint8), k=-1) + np.eye(n, dtype=np.uint8)
-    up = np.triu(rng.integers(0, 2, size=(n, n), dtype=np.uint8), k=1) + np.eye(n, dtype=np.uint8)
+    below = np.tri(n, k=-1, dtype=np.uint8)
+    lo = rng.integers(0, 2, size=(n, n), dtype=np.uint8) * below
+    up = rng.integers(0, 2, size=(n, n), dtype=np.uint8) * below.T
+    lo.flat[:: n + 1] = up.flat[:: n + 1] = 1
     perm = rng.permutation(n)
-    prod = (lo @ up) & 1
-    return BitMatrix.from_dense(prod[perm])
+    return BitMatrix(n, n, _product(_pack(lo), n, _pack(up))[perm])
 

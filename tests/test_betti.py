@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+from itertools import islice
 from math import comb
 
 import pytest
@@ -67,6 +68,16 @@ def test_table_rejects_wrong_length():
 def test_table_rejects_negative():
     with pytest.raises(ValidationError, match="negative"):
         BettiTable(1, "F2", (1, -1, 1, 1))
+
+
+def test_iteration_ends_at_the_top_degree():
+    t = mod2_table(2)
+    # bounded first: a table that iterated through __getitem__ would never end
+    assert list(islice(t, len(t.values) + 1)) == list(t.values)
+    assert list(t) == list(t.values)
+    assert max(t) == max(t.values)
+    assert t.values[0] in t
+    assert max(t.values) + 1 not in t
 
 
 def test_out_of_range_indexing_is_zero():

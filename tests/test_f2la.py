@@ -2,11 +2,14 @@
 
 Ranks are checked against an independent oracle (naive full elimination on
 Python int bitmasks) and kernel dimensions against exhaustive null-space
-enumeration on small matrices.
+enumeration on small matrices.  The strip elimination engine is checked
+against per-column elimination kept here as a reference, and seeded
+products against digests of their outputs.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -299,6 +302,116 @@ def test_edge_rank_rejects_ends_outside_the_columns():
 
 
 # ---------------------------------------------------------------------------
+# strip elimination against per-column elimination
+# ---------------------------------------------------------------------------
+
+
+def column_echelon(bits: np.ndarray, rows: int, cols: int, reduced: bool = False):
+    """Reference: in-place echelon form one column at a time, leftmost
+    unused column first and the topmost available row as its pivot.
+
+    Returns (rank, pivot column list), as ``f2la._echelon`` does.
+    """
+    r = 0
+    pivots: list[int] = []
+    for col in range(cols):
+        if r == rows:
+            break
+        w = col // f2la.WORD
+        b = np.uint64(col % f2la.WORD)
+        nz = np.nonzero((bits[r:, w] >> b) & np.uint64(1))[0]
+        if nz.size == 0:
+            continue
+        p = r + int(nz[0])
+        if p != r:
+            bits[[r, p]] = bits[[p, r]]
+        sel = np.nonzero((bits[r + 1 :, w] >> b) & np.uint64(1))[0] + r + 1
+        if sel.size:
+            bits[sel] ^= bits[r]
+        if reduced and r:
+            sel = np.nonzero((bits[:r, w] >> b) & np.uint64(1))[0]
+            if sel.size:
+                bits[sel] ^= bits[r]
+        pivots.append(col)
+        r += 1
+    return r, pivots
+
+
+def awkward_matrix(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """A random matrix, possibly of low rank (so every strip is rank
+    deficient), with zero rows, repeated rows and all-zero column bands."""
+    dense = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
+    if not rows or not cols:
+        return dense
+    if rng.random() < 0.4:
+        k = int(rng.integers(0, 12))
+        left = rng.integers(0, 2, size=(rows, k), dtype=np.int64)
+        dense = (left @ rng.integers(0, 2, size=(k, cols), dtype=np.int64) % 2).astype(np.uint8)
+    if rng.random() < 0.5:
+        dense[rng.integers(0, rows, size=rows // 3)] = 0
+        dense[rng.integers(0, rows, size=rows // 2)] = dense[rng.integers(0, rows, size=rows // 2)]
+    if rng.random() < 0.4:
+        start = int(rng.integers(0, cols))
+        dense[:, start : start + int(rng.integers(1, 20))] = 0
+    return dense
+
+
+def check_echelon(dense: np.ndarray) -> None:
+    rows, cols = dense.shape
+    m = BitMatrix.from_dense(dense)
+    for reduced in (False, True):
+        ours, ref = m._bits.copy(), m._bits.copy()
+        got = f2la._echelon(ours, rows, cols, reduced)
+        assert got == column_echelon(ref, rows, cols, reduced)
+        if not reduced:
+            # an echelon form of the same row space: nothing below the
+            # rank, and the same reduced form
+            assert not ours[got[0] :].any()
+            column_echelon(ours, rows, cols, reduced=True)
+            column_echelon(ref, rows, cols, reduced=True)
+        assert np.array_equal(ours, ref)
+    assert f2la.rank(m) == got[0]
+
+
+def reference_inverse(m: BitMatrix) -> BitMatrix:
+    n = m.rows
+    aug = np.concatenate([m.to_dense(), np.eye(n, dtype=np.uint8)], axis=1)
+    work = BitMatrix.from_dense(aug)._bits.copy()
+    column_echelon(work, n, 2 * n, reduced=True)
+    return BitMatrix.from_dense(BitMatrix(n, 2 * n, work).to_dense()[:, n:])
+
+
+@pytest.mark.parametrize("cols", WORD_BOUNDARY_WIDTHS)
+@given(st.integers(0, 140), st.integers(0, 2**32 - 1))
+@settings(max_examples=12, deadline=None)
+def test_echelon_matches_column_reference_at_word_boundaries(cols, rows, seed):
+    check_echelon(awkward_matrix(np.random.default_rng(seed), rows, cols))
+
+
+@given(st.integers(0, 140), st.integers(0, 300), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_echelon_matches_column_reference_random_width(rows, cols, seed):
+    check_echelon(awkward_matrix(np.random.default_rng(seed), rows, cols))
+
+
+def test_echelon_of_full_strips_repeated_rows_and_one_row_per_code():
+    # every code of a strip present, every row repeated, and rows that are
+    # unit vectors in reverse order: the basis fills from late candidates
+    codes = np.arange(256, dtype=np.uint8)
+    dense = np.unpackbits(codes[:, None], axis=1, bitorder="little")
+    check_echelon(np.concatenate([dense, dense[::-1]]))
+    check_echelon(np.tile(np.eye(70, dtype=np.uint8)[::-1], (3, 1)))
+    check_echelon(np.ones((90, 129), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("n", [0, *WORD_BOUNDARY_WIDTHS[1:], 200])
+def test_inverse_matches_column_reference(n):
+    m = f2la.random_invertible(n, np.random.default_rng(n))
+    assert f2la.inverse(m) == reference_inverse(m)
+    assert f2la.compose(m, f2la.inverse(m)) == BitMatrix.identity(n)
+
+
+# ---------------------------------------------------------------------------
 # compose / add / assemble
 # ---------------------------------------------------------------------------
 
@@ -393,3 +506,33 @@ def test_random_invertible_is_invertible():
         rng = f2la.rng_for(seed, "ri")
         n = 1 + seed % 7
         assert f2la.rank(f2la.random_invertible(n, rng)) == n
+
+
+# sha256 (first 16 hex digits) of compose, kron and random_invertible on the
+# random inputs of ``pinned_outputs``, recorded from the per-row compose,
+# np.kron and dense L @ U they replaced
+PRODUCT_DIGESTS = {
+    0: ("6f39c3941133a52a", "eda5026c194f7279", "eda5026c194f7279"),
+    1: ("3dbf6e348a186609", "7a02df606a657603", "26819ab2cf61aaaf"),
+    64: ("a1cf72d098859c20", "bf0ffb621417e9bc", "4d3354a35db2c966"),
+    65: ("252fb24a28343417", "094af3349060f618", "dc46b0b4dbf4fb93"),
+    200: ("5b6210572c7d774d", "2505c6baaef10ac9", "636f173e7ba18c7f"),
+}
+
+
+def digest(*mats: BitMatrix) -> str:
+    """Digest of the shapes and little-endian words of the given matrices."""
+    h = hashlib.sha256()
+    for m in mats:
+        h.update(f"{m.rows}x{m.cols};".encode())
+        h.update(np.ascontiguousarray(m._bits, dtype="<u8").tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("n", sorted(PRODUCT_DIGESTS))
+def test_products_are_pinned(n):
+    rng = np.random.default_rng(n)
+    a, b = random_matrix(rng, n, n + 7), random_matrix(rng, n + 7, n + 3)
+    c, d = random_matrix(rng, n, 3), random_matrix(rng, 2, n)
+    got = f2la.compose(a, b), f2la.kron(c, d), f2la.random_invertible(n, rng)
+    assert tuple(map(digest, got)) == PRODUCT_DIGESTS[n]
