@@ -18,7 +18,8 @@ at the degrees where the profiles force them, two rank engines for
 lambda (a component count for the seed-0 witnesses, which make lambda
 the incidence matrix of a graph, and dense elimination for any other
 seed), one report that turns any split into rows (:func:`split_report`),
-and one rank inference for unrecorded arrows (:func:`infer_nu_ranks`).
+and one rank inference for unrecorded arrows (:func:`infer_nu_ranks`),
+whose candidates share the rank of each degree's lambda for the maps it reads.
 """
 
 from __future__ import annotations
@@ -392,8 +393,9 @@ def hypothesis_data(g: int) -> GenusData:
 _RECORDED = {1: genus1_data, 2: genus2_data}
 
 
+@lru_cache(maxsize=None)
 def canonical_data(g: int) -> GenusData:
-    """Recorded bundles for genus 1 and 2, max-rank hypothesis beyond."""
+    """Recorded bundles for genus 1 and 2, max-rank hypothesis beyond; built once."""
     return _RECORDED[g]() if g in _RECORDED else hypothesis_data(g)
 
 
@@ -481,7 +483,7 @@ def _rank_bounds(diag: Diagram, da: GenusData, dg: GenusData) -> tuple[int, int]
     return lo, hi
 
 
-def _glue_pairs(diagrams: dict[int, Diagram], da: GenusData, dg: GenusData, seed: int):
+def _glue_pairs(diagrams: dict[int, Diagram], da: GenusData, dg: GenusData, seed: int, shared=None):
     """(ker, cok) by degree of ``diagrams`` realised with witness seed ``seed``.
 
     Seed 0 ranks lambda as a graph (:func:`graph_ker_coker`), since its
@@ -491,23 +493,46 @@ def _glue_pairs(diagrams: dict[int, Diagram], da: GenusData, dg: GenusData, seed
     matrix over it, is refused here, before any witness is synthesised.
     Each piece's witnesses are synthesised once, on first use, and each
     degree is ranked on first use.
+
+    ``shared`` holds three dicts, fresh unless a seed-0 inference scan
+    passes the same ones to all its candidates so that they share work:
+    witness sets by bundle, so a piece no candidate changes is synthesised
+    once; a number for each distinct map, by its hits bytes; and (ker, cok)
+    by degree and the numbers of the maps lambda_r reads, which with
+    ``diagrams[r]`` fix it at seed 0.  So each degree is ranked once per
+    distinct set of maps, and a scan holds one copy of each map, not one
+    per key.
     """
     graph = seed == 0
     for diag in diagrams.values():
         _check_size(diag, graph)
     _check_witness_size(da)
     _check_witness_size(dg)
+    syntheses, maps, ranks = shared or ({}, {}, {})
 
     @lru_cache(maxsize=None)
     def witnesses() -> tuple[WitnessSet, WitnessSet]:
-        wa = synthesize_witnesses(da, seed)
-        return wa, wa if dg is da else synthesize_witnesses(dg, seed)
+        for data in (da, dg):
+            if data not in syntheses:
+                syntheses[data] = synthesize_witnesses(data, seed)
+        return syntheses[da], syntheses[dg]
+
+    @lru_cache(maxsize=None)
+    def numbers() -> tuple:
+        """Each map's number, indexed by side (A, B), family (nu, rho) and degree."""
+        families = [(w.nu_hits, w.rho_hits) for w in witnesses()]
+        number = lambda hits: maps.setdefault(hits.tobytes(), len(maps))  # noqa: E731
+        return tuple(tuple(tuple(map(number, f)) for f in side) for side in families)
 
     @lru_cache(maxsize=None)
     def pair(r: int) -> tuple[int, int]:
-        if graph:
-            return graph_ker_coker(diagrams[r], *witnesses())
-        return ker_coker(realize(diagrams[r], *witnesses()))
+        if not graph:
+            return ker_coker(realize(diagrams[r], *witnesses()))
+        edges = diagrams[r].edges.values()
+        key = (r, *(numbers()[e.side == "B"][e.family == "rho"][e.degree] for e in edges))
+        if key not in ranks:
+            ranks[key] = graph_ker_coker(diagrams[r], *witnesses())
+        return ranks[key]
 
     return pair
 
@@ -520,7 +545,7 @@ def split_report(a: int, g: int, seeds=(0,), degrees=None) -> SplitReport:
     chain, the recorded row and the verdict.
     """
     da = canonical_data(a)
-    dg = da if a == g else canonical_data(g)
+    dg = canonical_data(g)
     n = 6 * (a + g) - 2
     degrees = list(range(n)) if degrees is None else list(degrees)
     for r in degrees:
@@ -629,8 +654,10 @@ class InferenceScan:
 
 
 def _with_nu_ranks(g: int, replacements: dict[int, int]) -> GenusData:
-    """Canonical bundle with some nu ranks replaced."""
+    """Canonical bundle with some nu ranks replaced; the bundle itself when none are."""
     base = canonical_data(g)
+    if not replacements:
+        return base
     ranks = {r: base.nu[r].rank for r in range(6 * g + 1)}
     ranks.update(replacements)
     return assemble_genus_data(g, ranks, base.constraints)
@@ -647,6 +674,8 @@ def infer_nu_ranks(
     is realised once, and is tested against h_r = |cok lambda_r| +
     |ker lambda_{r-1}| at the glue degrees (by default all, 1..6(a+g)-3)
     in order, stopping at the first where exactly one combination passes.
+    Candidates share ranks: lambda_r is ranked once for each distinct set
+    of witness maps it reads (see :func:`_glue_pairs`).
     """
     top = 6 * (a + g) - 3
     degrees = range(1, top + 1) if degrees is None else list(degrees)
@@ -666,7 +695,7 @@ def infer_nu_ranks(
         choices.append(range(top_rank + 1) if ranks is None else ranks)
     diagrams = {r: build_split(r, a, g) for r in sorted({*degrees, *(r - 1 for r in degrees)})}
 
-    bundles = []
+    bundles, shared = [], ({}, {}, {})
     for ranks in product(*choices):
         rank = ranks[0] if len(ranks) == 1 else ranks
         try:
@@ -677,7 +706,7 @@ def infer_nu_ranks(
         except ValidationError:
             bundles.append((rank, None))
             continue
-        bundles.append((rank, _glue_pairs(diagrams, data[a], data[g], 0)))
+        bundles.append((rank, _glue_pairs(diagrams, data[a], data[g], 0, shared)))
 
     target = mod2_table(a + g)
     checks = []

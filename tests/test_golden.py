@@ -28,6 +28,8 @@ GOLDEN = [
     ("infer_1+2_nu_9^2.json", "infer --split 1+2 --unknown nu_9^2 --format json", 0),
     ("infer_1+1_nu_2^1_degree3.md", "infer --split 1+1 --unknown nu_2^1 --at-degree 3", 0),
     ("infer_2+2_nu_5^2.json", "infer --split 2+2 --unknown nu_5^2 --format json", 0),
+    # a full 21-degree scan on a hypothesis genus: no degree pins nu_9^3
+    ("infer_1+3_nu_9^3.json", "infer --split 1+3 --unknown nu_9^3 --format json", 0),
     ("verify_6.json", "verify --max-genus 6 --format json", 0),
     ("verify_2.md", "verify --max-genus 2", 0),
     ("serre.json", "serre --format json", 0),

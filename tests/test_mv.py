@@ -1,4 +1,5 @@
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -9,10 +10,13 @@ from f2moduli.betti import m_coeff, mod2_table
 from f2moduli.cli import _split22_document
 from f2moduli.errors import ShapeError, ValidationError
 from f2moduli.f2la import BitMatrix, compose, inverse, rank
-from f2moduli.moduli import MapRef, genus1_data, genus2_data, nplus_betti
+from f2moduli.moduli import MapRef, assemble_genus_data, genus1_data, genus2_data, nplus_betti
 from f2moduli.mv import (
     Diagram,
+    CandidateVerdict,
     EdgeSpec,
+    InferenceResult,
+    InferenceScan,
     RealizedDiagram,
     build_split,
     canonical_data,
@@ -433,6 +437,118 @@ def test_inference_validates_unknown():
         _infer(1, 2, MapRef("nu", 5, 2), 400)
 
 
+def _fresh_scan(a, g, unknowns, degrees=None) -> InferenceScan:
+    """infer_nu_ranks by the letter of its docstring: every candidate bundle
+    assembled, synthesised and ranked at every degree on its own, sharing
+    nothing with any other candidate."""
+    top = 6 * (a + g) - 3
+    degrees = list(range(1, top + 1) if degrees is None else degrees)
+    choices = []
+    for ref, ranks in unknowns.items():
+        data = canonical_data(ref.genus)
+        top_rank = min(data.h[ref.degree], data.nplus[ref.degree])
+        choices.append(range(top_rank + 1) if ranks is None else ranks)
+    candidates = []
+    for ranks in product(*choices):
+        rank = ranks[0] if len(ranks) == 1 else ranks
+        bundle = {}
+        try:
+            for k in (a, g):
+                base = canonical_data(k)
+                nu = {r: p.rank for r, p in enumerate(base.nu)}
+                nu.update({u.degree: v for u, v in zip(unknowns, ranks) if u.genus == k})
+                bundle[k] = assemble_genus_data(k, nu, base.constraints)
+        except ValidationError:
+            candidates.append((rank, None))
+            continue
+        wa, wb = synthesize_witnesses(bundle[a], 0), synthesize_witnesses(bundle[g], 0)
+        pairs = {r: graph_ker_coker(build_split(r, a, g), wa, wb) for r in range(top + 1)}
+        candidates.append((rank, pairs))
+    target = mod2_table(a + g)
+    checks = []
+    for r in degrees:
+        verdicts = []
+        for rank, pairs in candidates:
+            if pairs is None:
+                verdicts.append(CandidateVerdict(rank, "infeasible", None))
+                continue
+            value = pairs[r][1] + pairs[r - 1][0]
+            status = "consistent" if value == target[r] else "inconsistent"
+            verdicts.append(CandidateVerdict(rank, status, value))
+        checks.append(InferenceResult((a, g), tuple(unknowns), r, target[r], tuple(verdicts)))
+        if checks[-1].deduced is not None:
+            break
+    return InferenceScan(tuple(checks))
+
+
+@pytest.mark.parametrize(
+    "a, g, unknowns, degrees",
+    [
+        (2, 2, {MapRef("nu", 5, 2): None}, None),
+        (2, 2, {MapRef("nu", 6, 2): None}, None),
+        # no degree pins nu_9^3: the whole 21-degree scan
+        (1, 3, {MapRef("nu", 9, 3): None}, None),
+        # the joint scan of joint_scan22
+        (2, 2, {MapRef("nu", 5, 2): (4, 5), MapRef("nu", 6, 2): (4, 5)}, (8, 9, 10, 12)),
+        # one unknown on each piece
+        (2, 3, {MapRef("nu", 6, 2): (4, 5), MapRef("nu", 8, 3): None}, None),
+        # two unknowns on the same genus of a symmetric split
+        (3, 3, {MapRef("nu", 7, 3): None, MapRef("nu", 10, 3): (5, 6, 7)}, None),
+    ],
+)
+def test_shared_ranks_give_the_scan_of_fresh_bundles(a, g, unknowns, degrees):
+    scan = infer_nu_ranks(a, g, unknowns, degrees)
+    assert scan == _fresh_scan(a, g, unknowns, degrees)
+    # the scans are not trivial: several candidates are tested
+    assert sum(c.status != "infeasible" for c in scan.checks[0].candidates) > 1
+
+
+def test_joint_scan22_is_the_scan_of_fresh_bundles(scan22):
+    unknowns = {MapRef("nu", 5, 2): (4, 5), MapRef("nu", 6, 2): (4, 5)}
+    assert scan22 == _fresh_scan(2, 2, unknowns, (8, 9, 10, 12))
+
+
+@pytest.mark.parametrize("a, g", [(1, 2), (2, 1)])
+@pytest.mark.parametrize("family", ["nu", "rho"])
+def test_shared_ranks_tell_every_map_apart(a, g, family):
+    """Two bundles whose witnesses differ in one map, on either side, share
+    no rank at a degree whose lambda reads that map."""
+    import f2moduli.mv as mv
+
+    data = {1: canonical_data(1), 2: canonical_data(2)}
+    other = {**data, 2: replace(data[2], constraints=())}  # unequal, so not synthesised alike
+    wits = {k: synthesize_witnesses(d, 0) for k, d in data.items()}
+    diagrams = {r: build_split(r, a, g) for r in range(6 * (a + g) - 2)}
+    moved = 0
+    for k, hits in enumerate(getattr(wits[2], f"{family}_hits")):
+        if not (hits >= 0).any():
+            continue
+        cut = hits.copy()
+        cut[np.flatnonzero(cut >= 0)[-1]] = -1  # the map loses its last live row
+        maps = list(getattr(wits[2], f"{family}_hits"))
+        maps[k] = cut
+        tampered = {**wits, 2: replace(wits[2], data=other[2], **{f"{family}_hits": tuple(maps)})}
+        shared = ({other[2]: tampered[2]}, {}, {})
+        pairs = mv._glue_pairs(diagrams, data[a], data[g], 0, shared)
+        tampered_pairs = mv._glue_pairs(diagrams, other[a], other[g], 0, shared)
+        for r, diag in diagrams.items():
+            assert pairs(r) == graph_ker_coker(diag, wits[a], wits[g])
+            want = graph_ker_coker(diag, tampered[a], tampered[g])
+            assert tampered_pairs(r) == want, f"{family}_{k} at degree {r}"
+            moved += want != pairs(r)
+    assert moved  # the lost rows change some lambda
+
+
+def test_canonical_bundle_is_built_once_per_genus():
+    import f2moduli.mv as mv
+
+    for g in (1, 2, 3):
+        assert canonical_data(g) is canonical_data(g)
+        assert mv._with_nu_ranks(g, {}) is canonical_data(g)
+        same = mv._with_nu_ranks(g, {0: canonical_data(g).nu[0].rank})
+        assert same == canonical_data(g) and same is not canonical_data(g)
+
+
 # ---------------------------------------------------------------------------
 # the 2+2 report
 # ---------------------------------------------------------------------------
@@ -638,6 +754,49 @@ def test_inference_builds_each_degree_once_for_all_candidates(monkeypatch):
     scan = infer_nu_ranks(1, 3, {MapRef("nu", 9, 3): None})
     assert len(scan.checks[0].candidates) > 1
     assert sorted(calls) == list(range(22))
+
+
+def _count_rankings(monkeypatch) -> dict:
+    """Record the degree of every lambda each rank engine ranks."""
+    import f2moduli.mv as mv
+
+    calls = {"graph": [], "dense": []}
+
+    def graph(diag, wa, wb):
+        calls["graph"].append(diag.degree)
+        return graph_ker_coker(diag, wa, wb)
+
+    def dense(diag, wa, wb):
+        calls["dense"].append(diag.degree)
+        return realize(diag, wa, wb)
+
+    monkeypatch.setattr(mv, "graph_ker_coker", graph)
+    monkeypatch.setattr(mv, "realize", dense)
+    return calls
+
+
+def test_inference_ranks_each_degree_once_per_set_of_maps(monkeypatch):
+    calls = _count_rankings(monkeypatch)
+    syntheses = _count_syntheses(monkeypatch)
+    scan = infer_nu_ranks(1, 3, {MapRef("nu", 9, 3): None})
+    feasible = sum(c.status != "infeasible" for c in scan.checks[0].candidates)
+    # 23 candidates, all feasible, at 22 degrees: 506 rankings without sharing
+    assert (feasible, len(scan.checks)) == (23, 21)
+    assert len(calls["graph"]) <= 152
+    assert set(calls["graph"]) == set(range(22))
+    assert calls["dense"] == []
+    # the genus-1 piece is the same bundle for every candidate
+    assert sorted(syntheses) == [(1, 0)] + [(3, 0)] * 23
+
+
+def test_split_report_ranks_each_degree_once_per_seed(monkeypatch):
+    calls = _count_rankings(monkeypatch)
+    syntheses = _count_syntheses(monkeypatch)
+    split_report(2, 2, (0, 1))
+    assert sorted(calls["graph"]) == list(range(22))
+    assert sorted(calls["dense"]) == list(range(22))
+    # both pieces are the one cached genus-2 bundle: one synthesis per seed
+    assert sorted(syntheses) == [(2, 0), (2, 1)]
 
 
 def test_size_limit_admits_3_plus_4(monkeypatch):
