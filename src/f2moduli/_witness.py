@@ -1,25 +1,34 @@
 """Concrete matrices realising a bundle of boundary-map profiles.
 
 A :class:`~f2moduli.moduli.GenusData` fixes, for every degree, the rank
-of nu and rho and of the stacked map mu.  Beyond ranks, only two kinds of
-interaction matter to any diagram built from these maps:
+of nu and rho and of the stacked map mu.  The synthesiser also realises
+two local numbers the records fix or bound:
 
 * on a shared domain V_s, the pair (nu_s, rho_{s+2}) has a kernel
   intersection k_s, bounded by max(0, kn + kr - dim) <= k_s <= min(kn, kr);
 * on a shared codomain W_r, the images of nu_r and rho_r overlap in
-  exactly t_r = rank nu + rank rho - rank mu dimensions, which the mu
-  rank forces outright.
+  exactly t_r = rank nu + rank rho - rank mu dimensions.
 
-The synthesiser picks coordinate subspaces realising those numbers (seed
-0, the canonical witness) and then conjugates by seeded random invertible
-transforms, D_s on each domain and C_r on each codomain.  Every seed
-therefore gives nu_seed = D nu_0 C and rho_seed = D rho_0 C, and the same
-conjugation carries over to mu, the kernel intersections, composite
-routes and every split diagram built from them.  Their ranks cannot
-depend on the seed: agreement across seeds checks the dense linear
-algebra, not whether the records determine a number.  The choices the
-records leave open (the k_s inside their windows) are made the same way
-at every seed, through ``kernel_overrides``.
+These do not fix a split's rows at genus 3 and up.  The maps of one
+parity form a zigzag N+_p <- H_p -> N+_{p+2} <- ..., a sum of intervals
+that ranks, k_s and t_r only count node by node.  At genus 3, swapping
+the targets of two crossing intervals at nu_6 (spans N+_0..N+_10 and
+N+_6..N+_12 become N+_0..N+_12 and N+_6..N+_10) keeps every count and
+passes :meth:`WitnessSet.check`, yet with it 1+3, 2+3 and 3+3 glue at
+every degree, where the maps built here leave 2+3 off.  So a split's
+rows are those of one configuration: the canonical one, seed 0.
+
+At seed 0 each map sends its surviving coordinates, in order, to a run
+of consecutive codomain coordinates, so its plan (shape, zero-row
+ranges, first image column) fixes it; it is kept as a hit map, the
+column each row hits or -1.  Other seeds pack the maps and conjugate by
+seeded random invertible transforms, D_s on each domain and C_r on each
+codomain: nu_seed = D nu_0 C and rho_seed = D rho_0 C, and the same
+conjugation carries over to mu, kernel intersections, composite routes
+and every split diagram.  So agreement across seeds checks the dense
+linear algebra, not the configuration.  The choices the records leave
+open (the k_s inside their windows) are made the same way at every
+seed, through ``kernel_overrides``.
 """
 
 from __future__ import annotations
@@ -42,23 +51,41 @@ from .moduli import GenusData
 
 __all__ = ["WitnessSet", "synthesize_witnesses"]
 
-
-def _coordinate_map(
-    dom: int, cod: int, zero_rows: set[int], image_cols: list[int]
-) -> tuple[BitMatrix, np.ndarray]:
-    """Matrix sending the i-th surviving coordinate to image_cols[i], and the
-    column each row hits (-1 for a zero row)."""
-    alive = [i for i in range(dom) if i not in zero_rows]
-    if len(alive) != len(image_cols):
+def _plan(dom: int, cod: int, zeros, image: range) -> tuple:
+    """(dom, cod, zero-row ranges, first image column) of the map sending its
+    surviving rows, in order, to the columns of ``image``; canonical: the
+    ranges are nonempty, sorted and merged, and an empty image starts at 0."""
+    merged: list[tuple[int, int]] = []
+    for lo, hi in sorted(z for z in zeros if z[0] < z[1]):
+        if merged and merged[-1][1] == lo:
+            lo = merged.pop()[0]
+        merged.append((lo, hi))
+    if dom - sum(hi - lo for lo, hi in merged) != len(image):
         raise InfeasibleError("kernel and image selections disagree on the rank")
+    return dom, cod, tuple(merged), image.start if image else 0
+
+
+def _hits(plan: tuple) -> np.ndarray:
+    """The column each row of a plan's map hits, -1 for a zero row."""
+    dom, _, zeros, first = plan
+    alive = np.ones(dom, dtype=bool)
+    for lo, hi in zeros:
+        alive[lo:hi] = False
     hits = np.full(dom, -1, dtype=np.int64)
-    hits[alive] = image_cols
-    # set one bit per surviving row straight into the packed words, so no
+    hits[alive] = np.arange(first, first + np.count_nonzero(alive))
+    hits.setflags(write=False)  # one array serves every witness set with this plan
+    return hits
+
+
+def _coordinate_map(hits: np.ndarray, cod: int) -> BitMatrix:
+    """The packed matrix whose row i is the unit vector at hits[i], zero at -1."""
+    # set one bit per live row straight into the packed words, so no
     # dom x cod byte array is ever held
+    alive = np.flatnonzero(hits >= 0)
     cols = hits[alive]
-    bits = np.zeros((dom, max(1, -(-cod // WORD))), dtype=np.uint64)
+    bits = np.zeros((hits.size, max(1, -(-cod // WORD))), dtype=np.uint64)
     bits[alive, cols // WORD] = np.uint64(1) << (cols % WORD).astype(np.uint64)
-    return BitMatrix(dom, cod, bits), hits
+    return BitMatrix(hits.size, cod, bits)
 
 
 def _columns_hit(width: int, *hits: np.ndarray) -> int:
@@ -76,24 +103,31 @@ def _columns_hit(width: int, *hits: np.ndarray) -> int:
 
 @dataclass(frozen=True)
 class WitnessSet:
-    """Matrices for every nu_r and rho_r of one genus bundle.
+    """Maps for every nu_r and rho_r of one genus bundle.
 
-    At seed 0 every map is a partial injection of coordinates, and
-    ``nu_hits[r]``/``rho_hits[r]`` give the column each of its rows hits,
-    -1 for a zero row.  Other seeds conjugate the maps densely, and both
-    are None.  The hits follow from the matrices, so they take no part in
-    comparisons.
+    ``plans`` holds the seed-0 plans of the nu_r and of the rho_r, which
+    fix the maps up to the seed's conjugation.  Seed 0 keeps the hits
+    (``nu``/``rho`` are None), other seeds the packed matrices (the hits
+    are None); :meth:`matrix` gives a packed map at any seed.
     """
 
     data: GenusData
-    nu: tuple[BitMatrix, ...]
-    rho: tuple[BitMatrix, ...]
+    plans: tuple[tuple[tuple, ...], tuple[tuple, ...]] = field(repr=False)
+    nu: tuple[BitMatrix, ...] | None
+    rho: tuple[BitMatrix, ...] | None
     nu_hits: tuple[np.ndarray, ...] | None = field(compare=False, repr=False)
     rho_hits: tuple[np.ndarray, ...] | None = field(compare=False, repr=False)
 
+    def matrix(self, family: str, r: int) -> BitMatrix:
+        """nu_r or rho_r packed; at seed 0 packed from its hits on each call."""
+        hits = self.nu_hits if family == "nu" else self.rho_hits
+        if hits is None:
+            return (self.nu if family == "nu" else self.rho)[r]
+        return _coordinate_map(hits[r], self.data.nplus[r])
+
     def mu(self, r: int) -> BitMatrix:
         """The stacked map on H_r + H_{r-2}, rows of nu_r over rows of rho_r."""
-        n, p = self.nu[r], self.rho[r]
+        n, p = self.matrix("nu", r), self.matrix("rho", r)
         return block_assemble(
             {(0, 0): n, (1, 0): p}, [n.rows, p.rows], [n.cols]
         )
@@ -104,7 +138,7 @@ class WitnessSet:
         A vector is in both kernels exactly when the side-by-side matrix
         [nu_s | rho_{s+2}] kills it, so this is rows minus rank there.
         """
-        n, p = self.nu[s], self.rho[s + 2]
+        n, p = self.matrix("nu", s), self.matrix("rho", s + 2)
         side = block_assemble(
             {(0, 0): n, (0, 1): p}, [n.rows], [n.cols, p.cols]
         )
@@ -136,25 +170,29 @@ def synthesize_witnesses(
     data: GenusData,
     seed: int = 0,
     kernel_overrides: dict[int, int] | None = None,
+    built: dict[tuple, np.ndarray] | None = None,
 ) -> WitnessSet:
-    """Build witness matrices for a genus bundle.
+    """Build witness maps for a genus bundle.
 
     ``kernel_overrides`` maps a domain degree s to a requested value of
     k_s = dim(ker nu_s intersect ker rho_{s+2}); degrees not listed take
     the smallest feasible value.  An override outside the feasible window
-    raises :class:`InfeasibleError`.
+    raises :class:`InfeasibleError`.  ``built`` holds the hit map of each
+    plan made so far, and gains the ones this synthesis makes: syntheses
+    that share it make each plan's hits once, and share the array.
     """
     g = data.genus
     top = 6 * g
     overrides = kernel_overrides or {}
+    built = {} if built is None else built
 
     # domain plans: which coordinates of V_s the two kernels occupy
-    nu_zero_rows: list[set[int]] = [set() for _ in range(top + 1)]
-    rho_zero_rows: list[set[int]] = [set() for _ in range(top + 1)]
+    nu_zeros: list[tuple] = []
+    rho_zeros: list[tuple] = [()] * (top + 1)
     for s in range(top + 1):
         d = data.h[s]
         kn = data.nu[s].kernel
-        nu_zero_rows[s] = set(range(d - kn, d))
+        nu_zeros.append(((d - kn, d),))
         if s + 2 > top:
             if s in overrides:
                 raise InfeasibleError(f"degree {s} has no rho partner to intersect")
@@ -166,49 +204,37 @@ def synthesize_witnesses(
             raise InfeasibleError(
                 f"kernel intersection {k} at degree {s} outside [{lo}, {hi}]"
             )
-        shared = set(range(d - k, d))
-        fresh = set(range(d - kn - (kr - k), d - kn))
-        rho_zero_rows[s + 2] = shared | fresh
+        rho_zeros[s + 2] = ((d - k, d), (d - kn - (kr - k), d - kn))
 
     # codomain plans: which coordinates of W_r the two images occupy
-    nu_cols: list[list[int]] = [[] for _ in range(top + 1)]
-    rho_cols: list[list[int]] = [[] for _ in range(top + 1)]
+    plans = []
     for r in range(top + 1):
         rn, rr, rm = data.nu[r].rank, data.rho[r].rank, data.mu[r].rank
         t = rn + rr - rm
         if not 0 <= t <= min(rn, rr):
             raise InfeasibleError(f"image overlap infeasible at degree {r}")
-        rho_cols[r] = list(range(rr))
-        nu_cols[r] = list(range(rr - t, rr - t + rn))
+        plans.append((
+            _plan(data.h[r], data.nplus[r], nu_zeros[r], range(rr - t, rr - t + rn)),
+            _plan(data.h[r - 2], data.nplus[r], rho_zeros[r], range(rr)),
+        ))
+    nu_plans, rho_plans = zip(*plans)
+    for plan in {*nu_plans, *rho_plans} - built.keys():
+        built[plan] = _hits(plan)
+    nu_hits, rho_hits = (tuple(built[p] for p in ps) for ps in (nu_plans, rho_plans))
 
-    nu_mats, nu_hits = zip(*(
-        _coordinate_map(data.h[r], data.nplus[r], nu_zero_rows[r], nu_cols[r])
-        for r in range(top + 1)
-    ))
-    rho_mats, rho_hits = zip(*(
-        _coordinate_map(data.h[r - 2], data.nplus[r], rho_zero_rows[r], rho_cols[r])
-        for r in range(top + 1)
-    ))
-
+    nu_mats = rho_mats = None
     if seed != 0:
+        doms = [random_invertible(data.h[s], rng_for(seed, f"w{g}:dom:{s}")) for s in range(top + 1)]
+        cods = [random_invertible(data.nplus[r], rng_for(seed, f"w{g}:cod:{r}")) for r in range(top + 1)]
+        pack = lambda h, r: _coordinate_map(h, data.nplus[r])  # noqa: E731
+        nu_mats = tuple(compose(doms[r], compose(pack(h, r), cods[r])) for r, h in enumerate(nu_hits))
+        rho_mats = tuple(
+            compose(doms[r - 2], compose(pack(h, r), cods[r])) if r >= 2 else pack(h, r)
+            for r, h in enumerate(rho_hits)
+        )
         nu_hits = rho_hits = None
-        doms = [
-            random_invertible(data.h[s], rng_for(seed, f"w{g}:dom:{s}"))
-            for s in range(top + 1)
-        ]
-        cods = [
-            random_invertible(data.nplus[r], rng_for(seed, f"w{g}:cod:{r}"))
-            for r in range(top + 1)
-        ]
-        nu_mats = [
-            compose(doms[r], compose(nu_mats[r], cods[r])) for r in range(top + 1)
-        ]
-        rho_mats = [
-            compose(doms[r - 2], compose(rho_mats[r], cods[r])) if r >= 2 else rho_mats[r]
-            for r in range(top + 1)
-        ]
 
-    ws = WitnessSet(data, tuple(nu_mats), tuple(rho_mats), nu_hits, rho_hits)
+    ws = WitnessSet(data, (nu_plans, rho_plans), nu_mats, rho_mats, nu_hits, rho_hits)
     bad = ws.check()
     if bad:
         raise InfeasibleError("synthesis failed self-check: " + ", ".join(bad))

@@ -40,6 +40,7 @@ __all__ = [
     "mu_kernel_dim",
     "mu_profile",
     "rho_profile",
+    "nu_profile",
     "assemble_genus_data",
     "genus1_data",
     "genus2_data",
@@ -218,6 +219,18 @@ class GenusData:
                 raise ValidationError(f"{name} needs {n} profiles, got {len(fam)}")
 
 
+def nu_profile(r: int, rank: int, mu_r: MapProfile, rho_r: MapProfile) -> MapProfile:
+    """Profile of nu at degree r (mu_r's domain less rho_r's, into mu_r's
+    codomain), checked jointly feasible: max(nu, rho) <= mu <= nu + rho in rank."""
+    nu_r = MapProfile(rank=rank, dom=mu_r.dom - rho_r.dom, cod=mu_r.cod)
+    if not (max(nu_r.rank, rho_r.rank) <= mu_r.rank <= nu_r.rank + rho_r.rank):
+        raise ValidationError(
+            f"nu rank {nu_r.rank} at degree {r} is not jointly feasible with "
+            f"rho {rho_r.notation()} against mu {mu_r.notation()}"
+        )
+    return nu_r
+
+
 def assemble_genus_data(
     g: int,
     nu_ranks: dict[int, int],
@@ -244,15 +257,9 @@ def assemble_genus_data(
             nu_rank = 0
         else:
             raise ValidationError(f"nu rank at degree {r} is not forced and not supplied")
-        nu_r = MapProfile(rank=nu_rank, dom=dom, cod=cod)
-        if not (max(nu_r.rank, rho_r.rank) <= mu_r.rank <= nu_r.rank + rho_r.rank):
-            raise ValidationError(
-                f"nu rank {nu_r.rank} at degree {r} is not jointly feasible with "
-                f"rho {rho_r.notation()} against mu {mu_r.notation()}"
-            )
         mu.append(mu_r)
         rho.append(rho_r)
-        nu.append(nu_r)
+        nu.append(nu_profile(r, nu_rank, mu_r, rho_r))
     return GenusData(
         genus=g,
         h=h,

@@ -24,7 +24,7 @@ whose candidates share the rank of each degree's lambda for the maps it reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product
 
@@ -48,6 +48,7 @@ from .moduli import (
     genus1_data,
     genus2_data,
     nplus_betti,
+    nu_profile,
 )
 
 __all__ = [
@@ -124,9 +125,12 @@ class RealizedDiagram:
 # of 3+4, 2+5 and 1+6 (36 MiB at most) and refuses the middle degrees of 4+4,
 # 2+6 and 1+7 (85 to 676 MiB).  As the edge list of the graph engine (two
 # int64 ends per row; ranking holds a few times that besides) it admits 4+4,
-# 2+6, 1+7, 4+5 and 5+5 (19.3 MiB at most) and refuses 5+6.  The same bound
-# holds each piece's witnesses, packed: genus 7 (mu at most 15.3 MiB) passes,
-# genus 8 and up do not.
+# 2+6, 4+5 and 5+5 (19.3 MiB at most) and 1+7 to 1+10 (47.6 MiB), and
+# refuses 5+6 and 1+11.  The same bound holds each piece's witnesses in the
+# form its seed keeps: packed at seeds other than 0, where genus 7 (mu at
+# most 15.3 MiB) passes and genus 8 and up do not; as hits at seed 0, 8
+# bytes per coordinate of the whole set, where genus 9 (13.4 MiB) and 10
+# (56.4 MiB) pass and genus 11 (236.8 MiB) does not.
 MAX_LAMBDA_BYTES = 64 * 2**20
 
 
@@ -177,10 +181,10 @@ def build_split(r: int, a: int, g: int) -> Diagram:
     return Diagram((a, g), r, summands, edges)
 
 
-def _refuse_over_limit(what: str, rows: int, cols: int, size: int, form: str) -> None:
+def _refuse_over_limit(what: str, size: int, form: str) -> None:
     if size > MAX_LAMBDA_BYTES:
         raise ValidationError(
-            f"{what} is {rows} x {cols}, {size / 2**20:.1f} MiB {form}, "
+            f"{what}, {size / 2**20:.1f} MiB {form}, "
             f"over the {MAX_LAMBDA_BYTES // 2**20} MiB limit"
         )
 
@@ -190,19 +194,34 @@ def _check_size(diag: Diagram, graph: bool) -> None:
     rows, cols = diag.domain_dim(), diag.codomain_dim()
     size, form = (rows * 16, "as edges") if graph else (rows * -(-cols // 64) * 8, "packed")
     a, g = diag.genus_pair
-    _refuse_over_limit(f"split {a}+{g} degree {diag.degree}: lambda", rows, cols, size, form)
+    _refuse_over_limit(f"split {a}+{g} degree {diag.degree}: lambda is {rows} x {cols}", size, form)
 
 
-def _check_witness_size(data: GenusData) -> None:
-    """Refuse a genus whose witnesses hold a matrix over MAX_LAMBDA_BYTES packed.
+def _check_witness_size(g: int, graph: bool) -> None:
+    """Refuse a genus whose witnesses would hold over MAX_LAMBDA_BYTES.
 
-    mu_r stacks nu_r over rho_r, so it is the largest matrix a synthesis
-    builds and its self-check ranks, at every seed.
+    At seed 0 they are hit maps, one int64 per coordinate of every nu_r and
+    rho_r.  Other seeds pack them; mu_r stacks nu_r over rho_r, so it is
+    the largest matrix such a synthesis builds and its self-check ranks.
     """
-    for r in range(6 * data.genus + 1):
-        rows, cols = data.h[r] + data.h[r - 2], data.nplus[r]
+    h, nplus = mod2_table(g), nplus_betti(g)
+    if graph:
+        coords = sum(h[r] + h[r - 2] for r in range(6 * g + 1))
+        _refuse_over_limit(f"genus {g} witnesses: {coords} coordinates", coords * 8, "as hits")
+        return
+    for r in range(6 * g + 1):
+        rows, cols = h[r] + h[r - 2], nplus[r]
         size = rows * -(-cols // 64) * 8
-        _refuse_over_limit(f"genus {data.genus} witnesses: mu_{r}", rows, cols, size, "packed")
+        _refuse_over_limit(f"genus {g} witnesses: mu_{r} is {rows} x {cols}", size, "packed")
+
+
+def _check_sizes(diagrams: dict[int, Diagram], a: int, g: int, seed: int) -> None:
+    """Refuse, before any synthesis, an a+g split whose witnesses or lambdas
+    would hold over MAX_LAMBDA_BYTES in the form the engine of ``seed`` takes."""
+    for k in (a, g):
+        _check_witness_size(k, seed == 0)
+    for diag in diagrams.values():
+        _check_size(diag, seed == 0)
 
 
 def realize(diag: Diagram, wa: WitnessSet, wb: WitnessSet) -> RealizedDiagram:
@@ -210,7 +229,7 @@ def realize(diag: Diagram, wa: WitnessSet, wb: WitnessSet) -> RealizedDiagram:
     mats: dict[tuple[Label, Label], BitMatrix] = {}
     for (src, dst), spec in diag.edges.items():
         w = wa if spec.side == "A" else wb
-        m = w.nu[spec.degree] if spec.family == "nu" else w.rho[spec.degree]
+        m = w.matrix(spec.family, spec.degree)
         eye = BitMatrix.identity(spec.factor)
         mat = kron(m, eye) if spec.position == "left" else kron(eye, m)
         if (mat.rows, mat.cols) != (diag.summands[src], diag.summands[dst]):
@@ -280,19 +299,20 @@ def lambda_edges(diag: Diagram, wa: WitnessSet, wb: WitnessSet) -> tuple[np.ndar
     for (src, dst), spec in diag.edges.items():
         edge = f"edge {src}->{dst}"
         w = wa if spec.side == "A" else wb
-        maps, hits = (w.nu, w.nu_hits) if spec.family == "nu" else (w.rho, w.rho_hits)
+        hits = w.nu_hits if spec.family == "nu" else w.rho_hits
         if hits is None:
             raise ShapeError(f"{edge}: the witness is not a coordinate map")
-        m, c, f = maps[spec.degree], hits[spec.degree], spec.factor
-        if c.shape != (m.rows,):
+        m = getattr(w.data, spec.family)[spec.degree]  # its profile gives the shape
+        c, f = hits[spec.degree], spec.factor
+        if c.shape != (m.dom,):
             raise ShapeError(f"{edge}: a row of {spec.family}_{spec.degree} is not one column")
         if spec.position == "left":
             cell = (c[:, None] * f + np.arange(f)).ravel()
             live = np.repeat(c >= 0, f)
         else:
-            cell = (np.arange(f)[:, None] * m.cols + c).ravel()
+            cell = (np.arange(f)[:, None] * m.cod + c).ravel()
             live = np.tile(c >= 0, f)
-        if (cell.size, m.cols * f) != (diag.summands[src], diag.summands[dst]):
+        if (cell.size, m.cod * f) != (diag.summands[src], diag.summands[dst]):
             raise ShapeError(f"{edge} realised with the wrong shape")
         hit = np.flatnonzero(live)
         slot = (ends[offsets[src] + hit] != cols).sum(axis=1)
@@ -488,48 +508,35 @@ def _glue_pairs(diagrams: dict[int, Diagram], da: GenusData, dg: GenusData, seed
 
     Seed 0 ranks lambda as a graph (:func:`graph_ker_coker`), since its
     witnesses are coordinate maps; any other seed by dense elimination of
-    the realised diagram.  Every lambda over MAX_LAMBDA_BYTES in the form
-    that engine takes, and every piece whose witnesses would hold a
-    matrix over it, is refused here, before any witness is synthesised.
-    Each piece's witnesses are synthesised once, on first use, and each
-    degree is ranked on first use.
+    the realised diagram.  The caller has refused what is over
+    MAX_LAMBDA_BYTES (:func:`_check_sizes`).  Each piece's witnesses are
+    synthesised once, on first use, and each degree is ranked on first use.
 
     ``shared`` holds three dicts, fresh unless a seed-0 inference scan
     passes the same ones to all its candidates so that they share work:
     witness sets by bundle, so a piece no candidate changes is synthesised
-    once; a number for each distinct map, by its hits bytes; and (ker, cok)
-    by degree and the numbers of the maps lambda_r reads, which with
-    ``diagrams[r]`` fix it at seed 0.  So each degree is ranked once per
-    distinct set of maps, and a scan holds one copy of each map, not one
-    per key.
+    once; the hit map of each plan, so a candidate makes only the maps
+    whose plans no earlier one had; and (ker, cok) by degree and the plans
+    of the maps lambda_r reads, which with ``diagrams[r]`` fix it at seed 0.
+    So each degree is ranked once per distinct set of maps, and a scan
+    holds one copy of each map.
     """
-    graph = seed == 0
-    for diag in diagrams.values():
-        _check_size(diag, graph)
-    _check_witness_size(da)
-    _check_witness_size(dg)
-    syntheses, maps, ranks = shared or ({}, {}, {})
+    syntheses, built, ranks = shared or ({}, {}, {})
 
     @lru_cache(maxsize=None)
     def witnesses() -> tuple[WitnessSet, WitnessSet]:
         for data in (da, dg):
             if data not in syntheses:
-                syntheses[data] = synthesize_witnesses(data, seed)
+                syntheses[data] = synthesize_witnesses(data, seed, built=built)
         return syntheses[da], syntheses[dg]
 
     @lru_cache(maxsize=None)
-    def numbers() -> tuple:
-        """Each map's number, indexed by side (A, B), family (nu, rho) and degree."""
-        families = [(w.nu_hits, w.rho_hits) for w in witnesses()]
-        number = lambda hits: maps.setdefault(hits.tobytes(), len(maps))  # noqa: E731
-        return tuple(tuple(tuple(map(number, f)) for f in side) for side in families)
-
-    @lru_cache(maxsize=None)
     def pair(r: int) -> tuple[int, int]:
-        if not graph:
+        if seed != 0:
             return ker_coker(realize(diagrams[r], *witnesses()))
+        plans = [w.plans for w in witnesses()]
         edges = diagrams[r].edges.values()
-        key = (r, *(numbers()[e.side == "B"][e.family == "rho"][e.degree] for e in edges))
+        key = (r, *(plans[e.side == "B"][e.family == "rho"][e.degree] for e in edges))
         if key not in ranks:
             ranks[key] = graph_ker_coker(diagrams[r], *witnesses())
         return ranks[key]
@@ -557,6 +564,8 @@ def split_report(a: int, g: int, seeds=(0,), degrees=None) -> SplitReport:
     if (a, g) == (2, 2):
         records = dict(enumerate(zip(reference.SPLIT22_KER, reference.SPLIT22_COKER)))
     diagrams = {r: build_split(r, a, g) for r in degrees}
+    for s in seeds:
+        _check_sizes(diagrams, a, g, s)
     pairs = {s: _glue_pairs(diagrams, da, dg, s) for s in seeds}
     rows = []
     for r in degrees:
@@ -654,13 +663,15 @@ class InferenceScan:
 
 
 def _with_nu_ranks(g: int, replacements: dict[int, int]) -> GenusData:
-    """Canonical bundle with some nu ranks replaced; the bundle itself when none are."""
+    """Canonical bundle with some nu ranks replaced; the bundle itself when none are.
+    Only those nu profiles are new: no nu rank changes mu or rho."""
     base = canonical_data(g)
     if not replacements:
         return base
-    ranks = {r: base.nu[r].rank for r in range(6 * g + 1)}
-    ranks.update(replacements)
-    return assemble_genus_data(g, ranks, base.constraints)
+    nu = list(base.nu)
+    for r in sorted(replacements):
+        nu[r] = nu_profile(r, replacements[r], base.mu[r], base.rho[r])
+    return replace(base, nu=tuple(nu))
 
 
 def infer_nu_ranks(
@@ -694,6 +705,7 @@ def infer_nu_ranks(
         top_rank = min(probe.h[ref.degree], probe.nplus[ref.degree])
         choices.append(range(top_rank + 1) if ranks is None else ranks)
     diagrams = {r: build_split(r, a, g) for r in sorted({*degrees, *(r - 1 for r in degrees)})}
+    _check_sizes(diagrams, a, g, 0)  # every candidate's maps have the canonical shapes
 
     bundles, shared = [], ({}, {}, {})
     for ranks in product(*choices):

@@ -41,10 +41,10 @@ __all__ = ["run_checks", "check_side_constraints", "constraint_readings"]
 
 def _composite_kernel(ws: WitnessSet, s: int) -> int | None:
     """ker of nu_{s+2} then rho_{s+2}^-1 then nu_s, when rho_{s+2} is invertible."""
-    r_mat = ws.rho[s + 2]
+    r_mat = ws.matrix("rho", s + 2)
     if r_mat.rows != r_mat.cols or rank(r_mat) != r_mat.rows:
         return None
-    route = compose(compose(ws.nu[s + 2], inverse(r_mat)), ws.nu[s])
+    route = compose(compose(ws.matrix("nu", s + 2), inverse(r_mat)), ws.matrix("nu", s))
     return route.rows - rank(route)
 
 
@@ -64,7 +64,7 @@ def constraint_readings(data: GenusData) -> list[tuple[str, str, int, int]]:
     for c in data.constraints:
         s = c.operands[0].degree
         if c.kind == "image-containment":
-            readings = {"literal": int(rank(ws.mu(s)) == rank(ws.rho[s]))}
+            readings = {"literal": int(rank(ws.mu(s)) == rank(ws.matrix("rho", s)))}
         elif c.kind == "composite-kernel":
             readings = {"literal": _composite_kernel(ws, s)}
         elif c.operands[1].degree == s + 2:

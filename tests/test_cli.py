@@ -293,6 +293,9 @@ OVERSIZED = {
     "72.7 MiB packed, over the 64 MiB limit\n",
     "1+9": "error: genus 9 witnesses: mu_18 is 25010 x 21778, "
     "65.1 MiB packed, over the 64 MiB limit\n",
+    # seed 0 keeps hits, 8 bytes per coordinate: genus 10 fits, genus 11 does not
+    "1+11": "error: genus 11 witnesses: 31039008 coordinates, "
+    "236.8 MiB as hits, over the 64 MiB limit\n",
 }
 
 
@@ -301,10 +304,10 @@ OVERSIZED = {
     [
         ["mv", "--split", "4+4", "--seed", "1"],
         ["mv", "--split", "2+6", "--seed", "1"],
-        ["mv", "--split", "1+8"],
-        ["mv", "--split", "1+9"],
-        ["mv", "--split", "1+9", "--degree", "0"],
-        ["infer", "--split", "1+9", "--unknown", "nu_2^1"],
+        ["mv", "--split", "1+8", "--seed", "1"],
+        ["mv", "--split", "1+9", "--seed", "1"],
+        ["mv", "--split", "1+9", "--degree", "0", "--seed", "1"],
+        ["infer", "--split", "1+11", "--unknown", "nu_2^1"],
     ],
 )
 def test_oversized_split_exits_1_at_once(capsys, argv):

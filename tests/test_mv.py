@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from f2moduli import reference
-from f2moduli._witness import synthesize_witnesses
+from f2moduli._witness import _hits, _plan, synthesize_witnesses
 from f2moduli.betti import m_coeff, mod2_table
 from f2moduli.cli import _split22_document
 from f2moduli.errors import ShapeError, ValidationError
@@ -520,14 +520,23 @@ def test_shared_ranks_tell_every_map_apart(a, g, family):
     wits = {k: synthesize_witnesses(d, 0) for k, d in data.items()}
     diagrams = {r: build_split(r, a, g) for r in range(6 * (a + g) - 2)}
     moved = 0
+    side = family == "rho"
     for k, hits in enumerate(getattr(wits[2], f"{family}_hits")):
         if not (hits >= 0).any():
             continue
         cut = hits.copy()
-        cut[np.flatnonzero(cut >= 0)[-1]] = -1  # the map loses its last live row
+        last = np.flatnonzero(cut >= 0)[-1]
+        cut[last] = -1  # the map loses its last live row, and its plan says so
+        dom, cod, zeros, first = wits[2].plans[side][k]
+        plan = _plan(dom, cod, (*zeros, (last, last + 1)), range(first, cut.max() + 1))
+        assert np.array_equal(_hits(plan), cut)
         maps = list(getattr(wits[2], f"{family}_hits"))
         maps[k] = cut
-        tampered = {**wits, 2: replace(wits[2], data=other[2], **{f"{family}_hits": tuple(maps)})}
+        plans = [list(p) for p in wits[2].plans]
+        plans[side][k] = plan
+        tampered = {**wits, 2: replace(
+            wits[2], data=other[2], plans=tuple(map(tuple, plans)), **{f"{family}_hits": tuple(maps)}
+        )}
         shared = ({other[2]: tampered[2]}, {}, {})
         pairs = mv._glue_pairs(diagrams, data[a], data[g], 0, shared)
         tampered_pairs = mv._glue_pairs(diagrams, other[a], other[g], 0, shared)
@@ -537,6 +546,97 @@ def test_shared_ranks_tell_every_map_apart(a, g, family):
             assert tampered_pairs(r) == want, f"{family}_{k} at degree {r}"
             moved += want != pairs(r)
     assert moved  # the lost rows change some lambda
+
+
+SCANS = {
+    "2+2 nu_5^2": (2, 2, {MapRef("nu", 5, 2): None}, None),
+    "2+2 nu_6^2": (2, 2, {MapRef("nu", 6, 2): None}, None),
+    "1+3 nu_9^3": (1, 3, {MapRef("nu", 9, 3): None}, None),
+    "joint_scan22": (2, 2, {MapRef("nu", 5, 2): (4, 5), MapRef("nu", 6, 2): (4, 5)}, (8, 9, 10, 12)),
+}
+
+
+@pytest.mark.parametrize("scan", sorted(SCANS))
+def test_plan_shared_hits_are_a_fresh_synthesis(monkeypatch, scan):
+    """Every candidate's witnesses, made from the hits the scan shares by
+    plan, equal a synthesis of its bundle that shares nothing."""
+    import f2moduli.mv as mv
+
+    made = []
+
+    def kept(data, seed, **kwargs):
+        made.append(synthesize_witnesses(data, seed, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(mv, "synthesize_witnesses", kept)
+    a, g, unknowns, degrees = SCANS[scan]
+    infer_nu_ranks(a, g, unknowns, degrees)
+    assert len(made) > 2
+    by_plan = {}
+    for ws in made:
+        fresh = synthesize_witnesses(ws.data, 0)
+        assert ws == fresh  # equal data and plans
+        for family in ("nu", "rho"):
+            plans = ws.plans[family == "rho"]
+            for plan, got, want in zip(plans, getattr(ws, f"{family}_hits"), getattr(fresh, f"{family}_hits")):
+                assert np.array_equal(got, want)
+                # one array per plan in the whole scan
+                assert by_plan.setdefault(plan, got) is got
+
+
+@pytest.mark.parametrize("run", ["split_report(1, 5)", "1+3 nu_9^3"])
+def test_seed_0_builds_no_packed_matrix(monkeypatch, run):
+    made = []
+    init = BitMatrix.__init__
+    monkeypatch.setattr(BitMatrix, "__init__", lambda self, *args: made.append(args) or init(self, *args))
+    BitMatrix.identity(2)
+    assert len(made) == 1  # the counter sees a construction
+    made.clear()
+    if run == "split_report(1, 5)":
+        assert split_report(1, 5).glue_matches
+    else:
+        a, g, unknowns, degrees = SCANS[run]
+        assert len(infer_nu_ranks(a, g, unknowns, degrees).checks) == 21
+    assert made == []
+
+
+def _outcome(build):
+    try:
+        return build()
+    except ValidationError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_nu_swap_is_the_assembled_bundle(g):
+    """_with_nu_ranks keeps the canonical mu and rho and swaps in the nu
+    profiles; every candidate, feasible or not, comes out as
+    assemble_genus_data makes it, error text included."""
+    import f2moduli.mv as mv
+
+    base = canonical_data(g)
+    canonical = {r: p.rank for r, p in enumerate(base.nu)}
+
+    def assembled(replacements):
+        return assemble_genus_data(g, {**canonical, **replacements}, base.constraints)
+
+    candidates = [{r: k} for r in range(6 * g + 1) for k in range(-1, min(base.h[r], base.nplus[r]) + 2)]
+    if g == 2:  # two open ranks at once: the lower degree's error comes first
+        candidates += [{6: k6, 5: k5} for k5, k6 in product(range(7), repeat=2)]
+    outcomes = []
+    for c in candidates:
+        outcomes.append(_outcome(lambda: mv._with_nu_ranks(g, c)))
+        assert outcomes[-1] == _outcome(lambda: assembled(c)), c
+    assert any("not jointly feasible" in str(o) for o in outcomes)
+
+
+@pytest.mark.parametrize("g", [8, 9])
+def test_seed_0_splits_reach_genus_10(g):
+    # no parent run pins these rows: the cross-check is the recursion's
+    # genus-9 and genus-10 tables and the 1+g closed forms
+    report = split_report(1, g)
+    assert report.glue_matches and report.closed_forms_hold
+    assert len(report.rows) == 6 * (1 + g) - 2
 
 
 def test_canonical_bundle_is_built_once_per_genus():
@@ -665,7 +765,7 @@ def test_side_constraint_check_names_a_broken_record(d1, d2):
 def test_size_limit_refuses_before_synthesis(monkeypatch):
     import f2moduli.mv as mv
 
-    monkeypatch.setattr(mv, "synthesize_witnesses", lambda *_: pytest.fail("synthesised"))
+    monkeypatch.setattr(mv, "synthesize_witnesses", lambda *_, **__: pytest.fail("synthesised"))
     with pytest.raises(ValidationError, match=r"split 2\+6 degree 18: lambda is 28391 x 35651"):
         split_report(2, 6, (1,))
     with pytest.raises(ValidationError, match=r"split 1\+7 degree 19: .* 89.5 MiB packed"):
@@ -678,18 +778,36 @@ def test_size_limit_refuses_before_synthesis(monkeypatch):
         split_report(5, 6)
     with pytest.raises(ValidationError, match=r"split 5\+6 degree 29: .* 70.9 MiB as edges"):
         infer_nu_ranks(5, 6, {MapRef("nu", 2, 5): None})
-    # a 1+8 lambda is 2.9 MiB as edges, but one genus-8 witness is not
+    # packed, one genus-8 witness is over the limit
     with pytest.raises(ValidationError, match=r"genus 8 witnesses: mu_21 .* 72.7 MiB packed"):
-        split_report(1, 8)
-    with pytest.raises(ValidationError, match=r"genus 8 witnesses: mu_21"):
-        infer_nu_ranks(1, 8, {MapRef("nu", 2, 1): None})
+        split_report(1, 8, (1,))
+    # as hits, the genus-11 witness set is
+    with pytest.raises(ValidationError, match=r"genus 11 witnesses: .* 236.8 MiB as hits"):
+        split_report(1, 11)
+    with pytest.raises(ValidationError, match=r"genus 11 witnesses: 31039008 coordinates"):
+        infer_nu_ranks(1, 11, {MapRef("nu", 2, 1): None})
 
 
 def test_witness_limit_admits_genus_7():
     import f2moduli.mv as mv
 
     for g in range(1, 8):
-        mv._check_witness_size(canonical_data(g))
+        mv._check_witness_size(g, False)
+    with pytest.raises(ValidationError, match=r"genus 8 witnesses: mu_21 .* packed"):
+        mv._check_witness_size(8, False)
+
+
+def test_hits_limit_admits_genus_10_at_seed_0(monkeypatch):
+    import f2moduli.mv as mv
+
+    for g in range(1, 11):
+        mv._check_witness_size(g, True)
+    with pytest.raises(ValidationError, match=r"genus 11 witnesses: .* 236.8 MiB as hits"):
+        mv._check_witness_size(11, True)
+    # 8 bytes a coordinate: genus 9 is 13.4 MiB of hits
+    monkeypatch.setattr(mv, "MAX_LAMBDA_BYTES", 13 * 2**20)
+    with pytest.raises(ValidationError, match=r"genus 9 witnesses: 1750320 coordinates, 13.4 MiB"):
+        mv._check_witness_size(9, True)
 
 
 def _count_syntheses(monkeypatch) -> list:
@@ -698,9 +816,9 @@ def _count_syntheses(monkeypatch) -> list:
 
     calls = []
 
-    def counted(data, seed):
+    def counted(data, seed, **kwargs):
         calls.append((data.genus, seed))
-        return synthesize_witnesses(data, seed)
+        return synthesize_witnesses(data, seed, **kwargs)
 
     monkeypatch.setattr(mv, "synthesize_witnesses", counted)
     return calls

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from f2moduli import _witness
-from f2moduli._witness import _columns_hit, _coordinate_map, synthesize_witnesses
+from f2moduli._witness import _columns_hit, _coordinate_map, _hits, _plan, synthesize_witnesses
 from f2moduli.errors import InfeasibleError
 from f2moduli.f2la import BitMatrix, rank
 from f2moduli.moduli import MapProfile, genus1_data, genus2_data
@@ -65,8 +65,9 @@ def test_seeded_witnesses_keep_all_ranks(seed):
 def test_matrix_shapes_follow_profiles(w2):
     d = w2.data
     for r in range(13):
-        assert (w2.nu[r].rows, w2.nu[r].cols) == (d.h[r], d.nplus[r])
-        assert (w2.rho[r].rows, w2.rho[r].cols) == (d.h[r - 2], d.nplus[r])
+        nu, rho = w2.matrix("nu", r), w2.matrix("rho", r)
+        assert (nu.rows, nu.cols) == (d.h[r], d.nplus[r])
+        assert (rho.rows, rho.cols) == (d.h[r - 2], d.nplus[r])
 
 
 def test_image_overlap_forced_by_mu(w1, w2):
@@ -74,14 +75,14 @@ def test_image_overlap_forced_by_mu(w1, w2):
     for ws in (w1, w2):
         d = ws.data
         for r in range(6 * d.genus + 1):
-            t = rank(ws.nu[r]) + rank(ws.rho[r]) - rank(ws.mu(r))
+            t = rank(ws.matrix("nu", r)) + rank(ws.matrix("rho", r)) - rank(ws.mu(r))
             assert t == d.nu[r].rank + d.rho[r].rank - d.mu[r].rank
             assert 0 <= t <= min(d.nu[r].rank, d.rho[r].rank)
 
 
 def test_genus1_degree3_images_coincide(w1):
     # rank nu = rank rho = rank mu = 1 there, so the two images are equal
-    assert rank(w1.nu[3]) + rank(w1.rho[3]) - rank(w1.mu(3)) == 1
+    assert rank(w1.matrix("nu", 3)) + rank(w1.matrix("rho", 3)) - rank(w1.mu(3)) == 1
     assert rank(w1.mu(3)) == 1
 
 
@@ -151,22 +152,47 @@ def test_seeds_give_different_witnesses():
 def test_canonical_witnesses_are_partial_permutations(w1, w2):
     # seed 0 sends each surviving domain coordinate to its own codomain coordinate
     for ws in (w1, w2):
-        for m in (*ws.nu, *ws.rho):
+        for m in _packed(ws):
             dense = m.to_dense()
             assert (dense.sum(axis=1) <= 1).all() and (dense.sum(axis=0) <= 1).all()
 
 
+def _packed(ws) -> list[BitMatrix]:
+    """Every nu_r and then every rho_r of a witness set, packed."""
+    return [ws.matrix(f, r) for f in ("nu", "rho") for r in range(6 * ws.data.genus + 1)]
+
+
+# sha256 (first 16 hex digits) of every nu and then every rho of the seed-0
+# witnesses of canonical_data(genus), recorded when seed 0 still built every
+# map packed
+CANONICAL_DIGESTS = {
+    1: "b7843da74f2e833a",
+    2: "5b3815971c40c8e5",
+    3: "565a0cf856797376",
+    4: "29df38ec596b2ffc",
+    5: "a69923ca70fdc7ca",
+    6: "bab73f36808e47d2",
+}
+
+
 @pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 6])
 def test_canonical_hits_reproduce_every_witness_matrix(g):
-    # the seed-0 self-check counts these hits, so they must be exactly the
-    # matrices lambda_edges and verify read
+    # seed 0 keeps only the hits: packed, they are the matrices seed 0 used
+    # to build, bit for bit, and each row is the unit vector its hit names
     ws = synthesize_witnesses(canonical_data(g), 0)
-    for maps, hits in ((ws.nu, ws.nu_hits), (ws.rho, ws.rho_hits)):
-        assert len(hits) == len(maps) == 6 * g + 1
-        for m, c in zip(maps, hits):
-            dense = np.zeros((m.rows, m.cols), dtype=np.uint8)
-            dense[np.flatnonzero(c >= 0), c[c >= 0]] = 1
-            assert c.shape == (m.rows,) and np.array_equal(dense, m.to_dense())
+    assert ws.nu is None and ws.rho is None
+    packed = _packed(ws)
+    h = hashlib.sha256()
+    for m in packed:
+        h.update(f"{m.rows}x{m.cols};".encode())
+        h.update(np.ascontiguousarray(m._bits, dtype="<u8").tobytes())
+    assert h.hexdigest()[:16] == CANONICAL_DIGESTS[g]
+    hits = [*ws.nu_hits, *ws.rho_hits]
+    assert len(hits) == len(packed) == 2 * (6 * g + 1)
+    for m, c in zip(packed, hits):
+        dense = np.zeros((m.rows, m.cols), dtype=np.uint8)
+        dense[np.flatnonzero(c >= 0), c[c >= 0]] = 1
+        assert c.shape == (m.rows,) and np.array_equal(dense, m.to_dense())
 
 
 def test_seeded_witnesses_carry_no_hits():
@@ -180,11 +206,42 @@ def test_coordinate_map_sets_one_bit_per_surviving_row(dom, cod):
     keep = min(dom, cod)
     alive = np.sort(rng.choice(dom, keep, replace=False)) if keep else np.array([], dtype=int)
     image = [int(c) for c in rng.choice(cod, keep, replace=False)] if keep else []
-    m, hits = _coordinate_map(dom, cod, set(range(dom)) - set(alive.tolist()), image)
+    hits = np.full(dom, -1, dtype=np.int64)
+    hits[alive] = image
+    m = _coordinate_map(hits, cod)
     want = np.zeros((dom, cod), dtype=np.uint8)
     want[alive, image] = 1
     assert (m.rows, m.cols) == (dom, cod) and np.array_equal(m.to_dense(), want)
-    assert rank(m) == keep and hits[alive].tolist() == image
+    assert rank(m) == keep
+
+
+@given(st.lists(st.booleans(), max_size=80), st.integers(0, 50), st.randoms(use_true_random=False))
+@settings(max_examples=60)
+def test_a_plan_is_canonical_and_fixes_its_hits(alive, first, rnd):
+    dom = len(alive)
+    zero_rows = [i for i, a in enumerate(alive) if not a]
+    rank_ = dom - len(zero_rows)
+    image = range(first, first + rank_)
+    # the same zero rows as maximal runs, and as single rows in any order
+    # with empty ranges among them
+    runs, start = [], None
+    for i, a in enumerate([*alive, True]):
+        if not a and start is None:
+            start = i
+        elif a and start is not None:
+            runs.append((start, i))
+            start = None
+    singles = [(i, i + 1) for i in zero_rows] + [(j, j) for j in range(3)]
+    rnd.shuffle(singles)
+    plan = _plan(dom, 7, runs, image)
+    assert _plan(dom, 7, singles, image) == plan
+    assert plan[2] == tuple(runs) and plan[3] == (first if rank_ else 0)
+    # the surviving rows, in order, hit the image's columns
+    want = np.full(dom, -1, dtype=np.int64)
+    want[[i for i, a in enumerate(alive) if a]] = list(image)
+    assert np.array_equal(_hits(plan), want)
+    with pytest.raises(InfeasibleError, match="disagree on the rank"):
+        _plan(dom, 7, runs, range(first, first + rank_ + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +263,8 @@ def test_hit_count_is_the_rank_of_every_canonical_map(g):
     ws = synthesize_witnesses(canonical_data(g), 0)
     for r in range(6 * g + 1):
         n, p, w = ws.nu_hits[r], ws.rho_hits[r], ws.data.nplus[r]
-        assert _columns_hit(w, n) == rank(ws.nu[r]), f"nu {r}"
-        assert _columns_hit(w, p) == rank(ws.rho[r]), f"rho {r}"
+        assert _columns_hit(w, n) == rank(ws.matrix("nu", r)), f"nu {r}"
+        assert _columns_hit(w, p) == rank(ws.matrix("rho", r)), f"rho {r}"
         assert _columns_hit(w, n, p) == rank(ws.mu(r)), f"mu {r}"
 
 
