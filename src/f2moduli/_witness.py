@@ -26,9 +26,9 @@ seeded random invertible transforms, D_s on each domain and C_r on each
 codomain: nu_seed = D nu_0 C and rho_seed = D rho_0 C, and the same
 conjugation carries over to mu, kernel intersections, composite routes
 and every split diagram.  So agreement across seeds checks the dense
-linear algebra, not the configuration.  The choices the records leave
-open (the k_s inside their windows) are made the same way at every
-seed, through ``kernel_overrides``.
+linear algebra, not the configuration.  The one choice the records leave
+open, k_s inside its window, is made the same way at every seed: k_s
+takes the low end.  The recorded genus-2 windows are single points.
 """
 
 from __future__ import annotations
@@ -169,21 +169,17 @@ class WitnessSet:
 def synthesize_witnesses(
     data: GenusData,
     seed: int = 0,
-    kernel_overrides: dict[int, int] | None = None,
     built: dict[tuple, np.ndarray] | None = None,
 ) -> WitnessSet:
     """Build witness maps for a genus bundle.
 
-    ``kernel_overrides`` maps a domain degree s to a requested value of
-    k_s = dim(ker nu_s intersect ker rho_{s+2}); degrees not listed take
-    the smallest feasible value.  An override outside the feasible window
-    raises :class:`InfeasibleError`.  ``built`` holds the hit map of each
-    plan made so far, and gains the ones this synthesis makes: syntheses
-    that share it make each plan's hits once, and share the array.
+    Each k_s = dim(ker nu_s intersect ker rho_{s+2}) takes the smallest
+    feasible value.  ``built`` holds the hit map of each plan made so
+    far, and gains the ones this synthesis makes: syntheses that share it
+    make each plan's hits once, and share the array.
     """
     g = data.genus
     top = 6 * g
-    overrides = kernel_overrides or {}
     built = {} if built is None else built
 
     # domain plans: which coordinates of V_s the two kernels occupy
@@ -194,16 +190,9 @@ def synthesize_witnesses(
         kn = data.nu[s].kernel
         nu_zeros.append(((d - kn, d),))
         if s + 2 > top:
-            if s in overrides:
-                raise InfeasibleError(f"degree {s} has no rho partner to intersect")
             continue
         kr = data.rho[s + 2].kernel
-        lo, hi = max(0, kn + kr - d), min(kn, kr)
-        k = overrides.get(s, lo)
-        if not lo <= k <= hi:
-            raise InfeasibleError(
-                f"kernel intersection {k} at degree {s} outside [{lo}, {hi}]"
-            )
+        k = max(0, kn + kr - d)  # never above min(kn, kr), as both kernels lie in V_s
         rho_zeros[s + 2] = ((d - k, d), (d - kn - (kr - k), d - kn))
 
     # codomain plans: which coordinates of W_r the two images occupy

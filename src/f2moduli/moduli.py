@@ -9,12 +9,13 @@ of maps on mod-2 homology organise everything:
 * ``nu``  the restriction of ``mu`` to the H_r(framed) summand;
 * ``rho`` the restriction to the H_{r-2}(framed) summand.
 
-Closed formulas determine the half-space Betti numbers, the kernel of
-``mu`` and the full profile (rank, domain, codomain) of ``mu`` and ``rho``
-at every degree.  The rank of ``nu`` is genuinely extra information; for
-genus 1 and 2 it is recorded data (see :mod:`f2moduli.reference`), and the
-functions here expose it as :class:`GenusData` bundles for the diagram
-calculus.
+Closed formulas determine the half-space Betti numbers n_r, computed once
+per genus by :func:`nplus_betti`, and the full profile (rank, domain,
+codomain) of ``mu`` and ``rho`` at every degree, built as one ladder per
+genus by :func:`boundary_profiles`.  The rank of ``nu`` is genuinely
+extra information; for genus 1 and 2 it is recorded data (see
+:mod:`f2moduli.reference`), and the functions here expose it as
+:class:`GenusData` bundles for the diagram calculus.
 
 A map profile ``a_b^c`` means a linear map from a b-dimensional space to a
 c-dimensional space of rank a.
@@ -37,9 +38,7 @@ __all__ = [
     "GenusData",
     "nplus_betti",
     "nhat_betti",
-    "mu_kernel_dim",
-    "mu_profile",
-    "rho_profile",
+    "boundary_profiles",
     "nu_profile",
     "assemble_genus_data",
     "genus1_data",
@@ -118,27 +117,21 @@ class SideConstraint:
 # ---------------------------------------------------------------------------
 
 
-def _nplus_at(g: int, r: int, h: BettiTable) -> int:
-    """Half-space Betti number at degree r; zero outside degrees 0..6g."""
-    # m_coeff rejects a genus below 1, also for a degree outside the table
-    v = h[r - 2] + m_coeff(g, r) if r <= 3 * g + 1 else h[r - 2] - m_coeff(g, r + 1)
-    if not 0 <= r <= 6 * g:
-        return 0
-    if v < 0:
-        raise ValidationError(f"half-space formula went negative for genus {g}")
-    return v
-
-
 @lru_cache(maxsize=None)
 def nplus_betti(g: int) -> BettiTable:
-    """Betti numbers of the half-space, degrees 0..6g.
+    """Betti numbers n_r of the half-space, degrees 0..6g.
 
     Below the middle (r <= 3g+1) the value is h[r-2] + m_r; above it the
     value is h[r-2] - m_{r+1}.  The two branches agree at r = 3g+1.
     """
     h = mod2_table(g)
-    values = tuple(_nplus_at(g, r, h) for r in range(6 * g + 1))
-    return BettiTable(g, "F2", values, space="plus")
+    values = []
+    for r in range(6 * g + 1):
+        v = h[r - 2] + m_coeff(g, r) if r <= 3 * g + 1 else h[r - 2] - m_coeff(g, r + 1)
+        if v < 0:
+            raise ValidationError(f"half-space formula went negative for genus {g}")
+        values.append(v)
+    return BettiTable(g, "F2", tuple(values), space="plus")
 
 
 def nhat_betti(g: int) -> BettiTable:
@@ -159,35 +152,26 @@ def nhat_betti(g: int) -> BettiTable:
     return BettiTable(g, "F2", tuple(values), space="relative")
 
 
-def mu_kernel_dim(g: int, r: int) -> int:
-    """Kernel dimension of the boundary-inclusion map at degree r.
+def boundary_profiles(g: int) -> tuple[tuple[MapProfile, ...], tuple[MapProfile, ...]]:
+    """The profiles of mu_r and rho_r for r = 0..6g, built in one pass.
 
-    h[r] - m_r below degree 3g, h[r] + m_{r+1} from 3g on.
+    Both maps land in the half-space, codomain n_r (:func:`nplus_betti`).
+    mu_r has domain h[r] + h[r-2] and kernel h[r] - m_r below degree 3g,
+    h[r] + m_{r+1} from 3g on.  rho_r has domain h[r-2] and is injective
+    up to degree 3g+1, surjective from 3g+1 on (an isomorphism exactly
+    where both hold).
     """
-    h = mod2_table(g)
-    k = h[r] - m_coeff(g, r) if r < 3 * g else h[r] + m_coeff(g, r + 1)
-    if k < 0:
-        raise ValidationError(f"mu kernel formula went negative at degree {r}")
-    return k
-
-
-def mu_profile(g: int, r: int) -> MapProfile:
-    """Profile of mu at degree r: domain h[r] + h[r-2], codomain the
-    half-space Betti number, rank fixed by the kernel formula."""
-    h = mod2_table(g)
-    dom = h[r] + h[r - 2]
-    cod = _nplus_at(g, r, h)
-    return MapProfile(rank=dom - mu_kernel_dim(g, r), dom=dom, cod=cod)
-
-
-def rho_profile(g: int, r: int) -> MapProfile:
-    """Profile of rho at degree r: injective up to degree 3g+1, surjective
-    from 3g+1 on (an isomorphism exactly where both hold)."""
-    h = mod2_table(g)
-    dom = h[r - 2]
-    cod = _nplus_at(g, r, h)
-    rank = dom if r <= 3 * g + 1 else cod
-    return MapProfile(rank=rank, dom=dom, cod=cod)
+    h, nplus = mod2_table(g), nplus_betti(g)
+    mu, rho = [], []
+    for r in range(6 * g + 1):
+        kernel = h[r] - m_coeff(g, r) if r < 3 * g else h[r] + m_coeff(g, r + 1)
+        if kernel < 0:
+            raise ValidationError(f"mu kernel formula went negative at degree {r}")
+        dom = h[r] + h[r - 2]
+        mu.append(MapProfile(rank=dom - kernel, dom=dom, cod=nplus[r]))
+        rank = h[r - 2] if r <= 3 * g + 1 else nplus[r]
+        rho.append(MapProfile(rank=rank, dom=h[r - 2], cod=nplus[r]))
+    return tuple(mu), tuple(rho)
 
 
 # ---------------------------------------------------------------------------
@@ -246,26 +230,22 @@ def assemble_genus_data(
     """
     h = mod2_table(g)
     nplus = nplus_betti(g)
-    mu, rho, nu = [], [], []
+    mu, rho = boundary_profiles(g)
+    nu = []
     for r in range(6 * g + 1):
-        mu_r = mu_profile(g, r)
-        rho_r = rho_profile(g, r)
-        dom, cod = h[r], nplus[r]
         if r in nu_ranks:
             nu_rank = nu_ranks[r]
-        elif dom == 0 or cod == 0:
+        elif h[r] == 0 or nplus[r] == 0:
             nu_rank = 0
         else:
             raise ValidationError(f"nu rank at degree {r} is not forced and not supplied")
-        mu.append(mu_r)
-        rho.append(rho_r)
-        nu.append(nu_profile(r, nu_rank, mu_r, rho_r))
+        nu.append(nu_profile(r, nu_rank, mu[r], rho[r]))
     return GenusData(
         genus=g,
         h=h,
         nplus=nplus,
-        mu=tuple(mu),
-        rho=tuple(rho),
+        mu=mu,
+        rho=rho,
         nu=tuple(nu),
         constraints=constraints,
     )
@@ -361,12 +341,12 @@ def reference_diagnostics() -> list[Diagnostic]:
     for g, rows in ((1, reference.GENUS1_ROWS), (2, reference.GENUS2_ROWS)):
         h = mod2_table(g)
         nplus = nplus_betti(g)
+        mu, rho = boundary_profiles(g)
         for r, (h_rec, n_rec, mu_rec, rho_rec, nu_rec) in rows.items():
             note(f"recorded-genus{g}-framed@{r}", h[r], h_rec)
             note(f"recorded-genus{g}-halfspace@{r}", nplus[r], n_rec)
-            mu_r, rho_r = mu_profile(g, r), rho_profile(g, r)
-            note(f"recorded-genus{g}-mu@{r}", (mu_r.rank, mu_r.dom, mu_r.cod), mu_rec)
-            note(f"recorded-genus{g}-rho@{r}", (rho_r.rank, rho_r.dom, rho_r.cod), rho_rec)
+            note(f"recorded-genus{g}-mu@{r}", (mu[r].rank, mu[r].dom, mu[r].cod), mu_rec)
+            note(f"recorded-genus{g}-rho@{r}", (rho[r].rank, rho[r].dom, rho[r].cod), rho_rec)
             # nu rank is recorded data; only its shape is formula-checked
             note(f"recorded-genus{g}-nu-shape@{r}", (h[r], nplus[r]), nu_rec[1:])
     return out

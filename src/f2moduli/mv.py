@@ -403,10 +403,12 @@ def hypothesis_data(g: int) -> GenusData:
     working hypothesis, not a theorem; treat anything derived from it
     accordingly.
     """
-    h = mod2_table(g)
-    np_table = nplus_betti(g)
-    ranks = {r: min(h[r], np_table[r]) for r in range(6 * g + 1)}
-    return assemble_genus_data(g, ranks)
+    return assemble_genus_data(g, {r: _max_nu_rank(g, r) for r in range(6 * g + 1)})
+
+
+def _max_nu_rank(g: int, s: int) -> int:
+    """The largest rank nu_s can have, min(h_s, n_s)."""
+    return min(mod2_table(g)[s], nplus_betti(g)[s])
 
 
 # the genera with recorded ranks; every other genus rests on the hypothesis
@@ -514,9 +516,12 @@ def _glue_pairs(diagrams: dict[int, Diagram], da: GenusData, dg: GenusData, seed
 
     ``shared`` holds three dicts, fresh unless a seed-0 inference scan
     passes the same ones to all its candidates so that they share work:
-    witness sets by bundle, so a piece no candidate changes is synthesised
-    once; the hit map of each plan, so a candidate makes only the maps
-    whose plans no earlier one had; and (ker, cok) by degree and the plans
+    witness sets by genus and nu ranks, so a piece no candidate changes is
+    synthesised once (every bundle :func:`canonical_data` and
+    :func:`_with_nu_ranks` make has the mu, rho, h and n of its genus, so
+    these fix its synthesis, and the key hashes no profile); the hit map
+    of each plan, so a candidate makes only the maps whose plans no
+    earlier one had; and (ker, cok) by degree and the plans
     of the maps lambda_r reads, which with ``diagrams[r]`` fix it at seed 0.
     So each degree is ranked once per distinct set of maps, and a scan
     holds one copy of each map.
@@ -525,10 +530,13 @@ def _glue_pairs(diagrams: dict[int, Diagram], da: GenusData, dg: GenusData, seed
 
     @lru_cache(maxsize=None)
     def witnesses() -> tuple[WitnessSet, WitnessSet]:
+        out = []
         for data in (da, dg):
-            if data not in syntheses:
-                syntheses[data] = synthesize_witnesses(data, seed, built=built)
-        return syntheses[da], syntheses[dg]
+            key = (data.genus, tuple(p.rank for p in data.nu))
+            if key not in syntheses:
+                syntheses[key] = synthesize_witnesses(data, seed, built=built)
+            out.append(syntheses[key])
+        return tuple(out)
 
     @lru_cache(maxsize=None)
     def pair(r: int) -> tuple[int, int]:
@@ -701,8 +709,7 @@ def infer_nu_ranks(
             raise ValidationError(f"unknown map lives at genus {ref.genus}, split is {a}+{g}")
         if not 0 <= ref.degree <= 6 * ref.genus:
             raise ValidationError(f"no map {ref.notation()}: degrees run 0..{6 * ref.genus}")
-        probe = canonical_data(ref.genus)
-        top_rank = min(probe.h[ref.degree], probe.nplus[ref.degree])
+        top_rank = _max_nu_rank(ref.genus, ref.degree)
         choices.append(range(top_rank + 1) if ranks is None else ranks)
     diagrams = {r: build_split(r, a, g) for r in sorted({*degrees, *(r - 1 for r in degrees)})}
     _check_sizes(diagrams, a, g, 0)  # every candidate's maps have the canonical shapes

@@ -25,12 +25,11 @@ from ._witness import WitnessSet, synthesize_witnesses
 from .f2la import compose, inverse, rank
 from .moduli import (
     GenusData,
+    boundary_profiles,
     genus1_data,
     genus2_data,
-    mu_profile,
     nhat_betti,
     reference_diagnostics,
-    rho_profile,
 )
 from .mv import split_report
 from .ringdata import alpha_ranks_from_tables
@@ -159,12 +158,11 @@ def run_checks(max_genus: int) -> tuple[list[tuple[str, bool, str]], list[str]]:
     ok = True
     for g in range(1, top + 1):
         rel = nhat_betti(g)
+        mu, rho = boundary_profiles(g)
         for r in range(6 * g + 1):
-            cok = mu_profile(g, r).cokernel
-            ker = mu_profile(g, r - 1).kernel if r >= 1 else 0
-            rcok = rho_profile(g, r).cokernel
-            rker = rho_profile(g, r - 1).kernel if r >= 1 else 0
-            if cok + ker != rel[r] or rcok + rker != m_coeff(g, r):
+            ker = mu[r - 1].kernel if r >= 1 else 0
+            rker = rho[r - 1].kernel if r >= 1 else 0
+            if mu[r].cokernel + ker != rel[r] or rho[r].cokernel + rker != m_coeff(g, r):
                 ok = False
     checks.append(("halfspace-bookkeeping", ok, f"mu and rho ladders, g=1..{top}"))
 

@@ -19,12 +19,11 @@ from f2moduli._witness import synthesize_witnesses
 from f2moduli.f2la import rank
 from f2moduli.moduli import (
     MapRef,
+    boundary_profiles,
     genus1_data,
     genus2_data,
-    mu_profile,
     nplus_betti,
     reference_diagnostics,
-    rho_profile,
 )
 from f2moduli.mv import (
     build_split,
@@ -96,11 +95,10 @@ def test_criterion_05_boundary_profiles(capsys):
     for r in range(12):
         assert nplus_betti(2)[r] == reference.GENUS2_ROWS[r][1], f"n column row {r}"
     for g, rows in ((1, reference.GENUS1_ROWS), (2, reference.GENUS2_ROWS)):
+        mu, rho = boundary_profiles(g)
         for r, row in rows.items():
-            mu = mu_profile(g, r)
-            rho = rho_profile(g, r)
-            assert (mu.rank, mu.dom, mu.cod) == row[2], f"mu g={g} r={r}"
-            assert (rho.rank, rho.dom, rho.cod) == row[3], f"rho g={g} r={r}"
+            assert (mu[r].rank, mu[r].dom, mu[r].cod) == row[2], f"mu g={g} r={r}"
+            assert (rho[r].rank, rho[r].dom, rho[r].cod) == row[3], f"rho g={g} r={r}"
     # the one recorded/formula mismatch is the genus-1 half-space number at
     # r = 5; it must surface as a named informational diagnostic, not pass
     diags = reference_diagnostics()

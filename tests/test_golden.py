@@ -31,6 +31,8 @@ GOLDEN = [
     # a full 21-degree scan on a hypothesis genus: no degree pins nu_9^3
     ("infer_1+3_nu_9^3.json", "infer --split 1+3 --unknown nu_9^3 --format json", 0),
     ("verify_6.json", "verify --max-genus 6 --format json", 0),
+    # the benchmark's verify-deep command
+    ("verify_40.json", "verify --max-genus 40 --format json", 0),
     ("verify_2.md", "verify --max-genus 2", 0),
     ("serre.json", "serre --format json", 0),
     ("tables_6.json", "tables --max-genus 6 --format json", 0),

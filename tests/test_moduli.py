@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,14 +14,12 @@ from f2moduli.moduli import (
     MapRef,
     SideConstraint,
     assemble_genus_data,
+    boundary_profiles,
     genus1_data,
     genus2_data,
-    mu_kernel_dim,
-    mu_profile,
     nhat_betti,
     nplus_betti,
     reference_diagnostics,
-    rho_profile,
 )
 
 
@@ -69,29 +69,50 @@ def test_relative_degree_one_vanishes():
 
 
 def test_mu_kernel_examples():
-    assert mu_kernel_dim(2, 5) == 5
-    assert mu_kernel_dim(1, 3) == 1
-    assert mu_kernel_dim(2, 8) == 4
+    mu1, _ = boundary_profiles(1)
+    mu2, _ = boundary_profiles(2)
+    assert mu2[5].kernel == 5
+    assert mu1[3].kernel == 1
+    assert mu2[8].kernel == 4
 
 
 def test_rho_profile_examples():
-    assert rho_profile(1, 3).notation() == "1_1^3"
-    assert rho_profile(2, 5).notation() == "5_5^5"
-    assert rho_profile(2, 0).notation() == "0_0^1"
+    _, rho1 = boundary_profiles(1)
+    _, rho2 = boundary_profiles(2)
+    assert rho1[3].notation() == "1_1^3"
+    assert rho2[5].notation() == "5_5^5"
+    assert rho2[0].notation() == "0_0^1"
 
 
 def test_mu_profile_examples():
-    assert mu_profile(2, 3).notation() == "4_5^4"
-    assert mu_profile(2, 6).notation() == "5_10^11"
-    assert mu_profile(1, 5).notation() == "0_1^0"
+    mu1, _ = boundary_profiles(1)
+    mu2, _ = boundary_profiles(2)
+    assert mu2[3].notation() == "4_5^4"
+    assert mu2[6].notation() == "5_10^11"
+    assert mu1[5].notation() == "0_1^0"
 
 
 @pytest.mark.parametrize("g", range(1, 11))
 def test_profiles_read_the_halfspace_table(g):
     plus = nplus_betti(g)
+    mu, rho = boundary_profiles(g)
+    assert len(mu) == len(rho) == 6 * g + 1
     for r in range(6 * g + 1):
-        assert mu_profile(g, r).cod == plus[r], f"mu at degree {r}"
-        assert rho_profile(g, r).cod == plus[r], f"rho at degree {r}"
+        assert mu[r].cod == plus[r], f"mu at degree {r}"
+        assert rho[r].cod == plus[r], f"rho at degree {r}"
+
+
+# sha256 of the lines "g r mu_r rho_r" in profile notation for genus 1-15,
+# every degree 0..6g, recorded from the per-degree formulas the ladder replaced
+PROFILES_1_15_SHA256 = "d1898e11de559be7ff632392d16d9b485250ef88f4a94b527b288d2b9a21577f"
+
+
+def test_ladder_matches_recorded_profiles():
+    lines = []
+    for g in range(1, 16):
+        mu, rho = boundary_profiles(g)
+        lines += [f"{g} {r} {mu[r].notation()} {rho[r].notation()}\n" for r in range(6 * g + 1)]
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == PROFILES_1_15_SHA256
 
 
 def test_negative_halfspace_entry_rejected(monkeypatch):
@@ -102,9 +123,19 @@ def test_negative_halfspace_entry_rejected(monkeypatch):
     with pytest.raises(ValidationError, match="half-space formula went negative"):
         nplus_betti(1)
     with pytest.raises(ValidationError, match="half-space formula went negative"):
-        rho_profile(1, 5)
-    with pytest.raises(ValidationError, match="half-space formula went negative"):
-        mu_profile(1, 5)
+        boundary_profiles(1)
+
+
+def test_negative_mu_kernel_rejected(monkeypatch, request):
+    # h[0] = 0 makes the mu kernel h[0] - m_0 at degree 0 equal -1, while
+    # every half-space entry stays nonnegative
+    broken = BettiTable(1, "F2", (0, 0, 1, 1))
+    monkeypatch.setattr(moduli, "mod2_table", lambda g: broken)
+    nplus_betti.cache_clear()
+    request.addfinalizer(nplus_betti.cache_clear)  # drop the table built from the broken h
+    assert nplus_betti(1).values == (1, 0, 0, 2, 1, 0, 0)
+    with pytest.raises(ValidationError, match="mu kernel formula went negative at degree 0"):
+        boundary_profiles(1)
 
 
 # ---------------------------------------------------------------------------
@@ -117,25 +148,28 @@ def test_exact_sequence_bookkeeping(g):
     # the connecting homomorphism alternative: coker mu_r + ker mu_{r-1}
     # must equal the relative Betti number at r
     rel = nhat_betti(g)
+    mu, _ = boundary_profiles(g)
     for r in range(6 * g + 1):
-        cok = mu_profile(g, r).cokernel
-        ker = mu_profile(g, r - 1).kernel if r >= 1 else 0
+        cok = mu[r].cokernel
+        ker = mu[r - 1].kernel if r >= 1 else 0
         assert cok + ker == rel[r], f"degree {r}"
 
 
 @pytest.mark.parametrize("g", range(1, 7))
 def test_rho_bookkeeping(g):
     # same bookkeeping for rho alone: coker rho_r + ker rho_{r-1} = m_r
+    _, rho = boundary_profiles(g)
     for r in range(6 * g + 1):
-        cok = rho_profile(g, r).cokernel
-        ker = rho_profile(g, r - 1).kernel if r >= 1 else 0
+        cok = rho[r].cokernel
+        ker = rho[r - 1].kernel if r >= 1 else 0
         assert cok + ker == m_coeff(g, r), f"degree {r}"
 
 
 @pytest.mark.parametrize("g", range(1, 7))
 def test_rho_injective_then_surjective(g):
+    _, rho = boundary_profiles(g)
     for r in range(6 * g + 1):
-        p = rho_profile(g, r)
+        p = rho[r]
         if r <= 3 * g + 1:
             assert p.rank == p.dom
         if r >= 3 * g + 1:
@@ -148,8 +182,9 @@ def test_halfspace_total_dimension(g):
     # a clean total: sum(nhat) = sum(nplus), and both count
     # sum(mu cokernels) + sum(mu kernels)
     plus = nplus_betti(g)
-    kernels = sum(mu_kernel_dim(g, r) for r in range(6 * g + 1))
-    cokernels = sum(mu_profile(g, r).cokernel for r in range(6 * g + 1))
+    mu, _ = boundary_profiles(g)
+    kernels = sum(p.kernel for p in mu)
+    cokernels = sum(p.cokernel for p in mu)
     assert kernels + cokernels == plus.total()
 
 
@@ -157,7 +192,7 @@ def test_halfspace_total_dimension(g):
 @given(g=st.integers(min_value=1, max_value=12), offset=st.integers(0, 40))
 def test_mu_rank_never_exceeds_sides(g, offset):
     r = offset % (6 * g + 1)
-    p = mu_profile(g, r)
+    p = boundary_profiles(g)[0][r]
     assert 0 <= p.rank <= min(p.dom, p.cod)
 
 

@@ -516,7 +516,6 @@ def test_shared_ranks_tell_every_map_apart(a, g, family):
     import f2moduli.mv as mv
 
     data = {1: canonical_data(1), 2: canonical_data(2)}
-    other = {**data, 2: replace(data[2], constraints=())}  # unequal, so not synthesised alike
     wits = {k: synthesize_witnesses(d, 0) for k, d in data.items()}
     diagrams = {r: build_split(r, a, g) for r in range(6 * (a + g) - 2)}
     moved = 0
@@ -535,11 +534,14 @@ def test_shared_ranks_tell_every_map_apart(a, g, family):
         plans = [list(p) for p in wits[2].plans]
         plans[side][k] = plan
         tampered = {**wits, 2: replace(
-            wits[2], data=other[2], plans=tuple(map(tuple, plans)), **{f"{family}_hits": tuple(maps)}
+            wits[2], plans=tuple(map(tuple, plans)), **{f"{family}_hits": tuple(maps)}
         )}
-        shared = ({other[2]: tampered[2]}, {}, {})
-        pairs = mv._glue_pairs(diagrams, data[a], data[g], 0, shared)
-        tampered_pairs = mv._glue_pairs(diagrams, other[a], other[g], 0, shared)
+        # the two share hits and ranks; the tampered one finds its genus-2
+        # witnesses where _glue_pairs keys a synthesis, by genus and nu ranks
+        built, ranks = {}, {}
+        key = (2, tuple(p.rank for p in data[2].nu))
+        pairs = mv._glue_pairs(diagrams, data[a], data[g], 0, ({}, built, ranks))
+        tampered_pairs = mv._glue_pairs(diagrams, data[a], data[g], 0, ({key: tampered[2]}, built, ranks))
         for r, diag in diagrams.items():
             assert pairs(r) == graph_ker_coker(diag, wits[a], wits[g])
             want = graph_ker_coker(diag, tampered[a], tampered[g])
