@@ -15,8 +15,10 @@ that ranks, k_s and t_r only count node by node.  At genus 3, swapping
 the targets of two crossing intervals at nu_6 (spans N+_0..N+_10 and
 N+_6..N+_12 become N+_0..N+_12 and N+_6..N+_10) keeps every count and
 passes :meth:`WitnessSet.check`, yet with it 1+3, 2+3 and 3+3 glue at
-every degree, where the maps built here leave 2+3 off.  So a split's
-rows are those of one configuration: the canonical one, seed 0.
+every degree, where the maps built here leave 2+3 and 3+3 off (pinned by
+``test_genus3_nu6_crossing_exchange_glues_every_split`` in
+``tests/test_witness.py``).  So a split's rows are those of one
+configuration: the canonical one, seed 0.
 
 At seed 0 each map sends its surviving coordinates, in order, to a run
 of consecutive codomain coordinates, so its plan (shape, zero-row

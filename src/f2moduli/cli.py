@@ -253,19 +253,24 @@ def _row_fields(row) -> dict:
     }
 
 
+def _split_csv_rows(report) -> list[list]:
+    """Any split's degree-per-row csv, with the first seed's (ker, cok)."""
+    seed = report.seeds[0]
+    return [["degree", "dom", "cod", "ker", "cok", "ker_lo", "ker_hi", "cok_lo", "cok_hi"]] + [
+        [row.degree, row.dom, row.cod, *row.realized[seed], *row.ker_interval, *row.cok_interval]
+        for row in report.rows
+    ]
+
+
 def _split_report_document(report, dumps: list[list[str]]) -> OutputDocument:
     a, g = report.split
     seed = report.seeds[0]
     rows, jrows = [], []
-    csv_rows = [["degree", "dom", "cod", "ker", "cok", "ker_lo", "ker_hi", "cok_lo", "cok_hi"]]
     for row in report.rows:
         ker, cok = row.realized[seed]
         rows.append(
             [row.degree, row.dom, row.cod, ker, cok,
              _window(row.ker_interval), _window(row.cok_interval), row.verdict]
-        )
-        csv_rows.append(
-            [row.degree, row.dom, row.cod, ker, cok, *row.ker_interval, *row.cok_interval]
         )
         jrows.append(
             {
@@ -311,7 +316,7 @@ def _split_report_document(report, dumps: list[list[str]]) -> OutputDocument:
         genera = ", ".join(str(k) for k in report.hypothesis_genera)
         text.append("")
         text.append(f"genus {genera}: max-rank hypothesis bundle (hypothesis_data), not recorded ranks")
-    return OutputDocument(payload, csv_rows, text)
+    return OutputDocument(payload, _split_csv_rows(report), text)
 
 
 def _split22_document(report, scan, dumps: list[list[str]]) -> OutputDocument:
@@ -362,7 +367,7 @@ def _split22_document(report, scan, dumps: list[list[str]]) -> OutputDocument:
         for dump in dumps:
             text.append("")
             text.extend(dump)
-    return OutputDocument(payload, None, text)
+    return OutputDocument(payload, _split_csv_rows(report), text)
 
 
 def cmd_mv(args) -> tuple[OutputDocument, int]:

@@ -120,17 +120,9 @@ class RealizedDiagram:
     edges: dict[tuple[Label, Label], BitMatrix]
 
 
-# the largest lambda a split or an inference may hold, in the form the engine
-# that ranks it takes.  Packed for the dense engine, it admits every degree
-# of 3+4, 2+5 and 1+6 (36 MiB at most) and refuses the middle degrees of 4+4,
-# 2+6 and 1+7 (85 to 676 MiB).  As the edge list of the graph engine (two
-# int64 ends per row; ranking holds a few times that besides) it admits 4+4,
-# 2+6, 4+5 and 5+5 (19.3 MiB at most) and 1+7 to 1+10 (47.6 MiB), and
-# refuses 5+6 and 1+11.  The same bound holds each piece's witnesses in the
-# form its seed keeps: packed at seeds other than 0, where genus 7 (mu at
-# most 15.3 MiB) passes and genus 8 and up do not; as hits at seed 0, 8
-# bytes per coordinate of the whole set, where genus 9 (13.4 MiB) and 10
-# (56.4 MiB) pass and genus 11 (236.8 MiB) does not.
+# the largest lambda, or witness set, a split or an inference may hold, in
+# the form the engine of its seed keeps it (:func:`_check_sizes`); README's
+# limits paragraph gives the splits and genera it admits and refuses.
 MAX_LAMBDA_BYTES = 64 * 2**20
 
 
@@ -181,47 +173,39 @@ def build_split(r: int, a: int, g: int) -> Diagram:
     return Diagram((a, g), r, summands, edges)
 
 
-def _refuse_over_limit(what: str, size: int, form: str) -> None:
-    if size > MAX_LAMBDA_BYTES:
-        raise ValidationError(
-            f"{what}, {size / 2**20:.1f} MiB {form}, "
-            f"over the {MAX_LAMBDA_BYTES // 2**20} MiB limit"
-        )
-
-
-def _check_size(diag: Diagram, graph: bool) -> None:
-    """Refuse a lambda over MAX_LAMBDA_BYTES in the form its engine takes."""
-    rows, cols = diag.domain_dim(), diag.codomain_dim()
-    size, form = (rows * 16, "as edges") if graph else (rows * -(-cols // 64) * 8, "packed")
-    a, g = diag.genus_pair
-    _refuse_over_limit(f"split {a}+{g} degree {diag.degree}: lambda is {rows} x {cols}", size, form)
-
-
-def _check_witness_size(g: int, graph: bool) -> None:
-    """Refuse a genus whose witnesses would hold over MAX_LAMBDA_BYTES.
-
-    At seed 0 they are hit maps, one int64 per coordinate of every nu_r and
-    rho_r.  Other seeds pack them; mu_r stacks nu_r over rho_r, so it is
-    the largest matrix such a synthesis builds and its self-check ranks.
-    """
-    h, nplus = mod2_table(g), nplus_betti(g)
-    if graph:
-        coords = sum(h[r] + h[r - 2] for r in range(6 * g + 1))
-        _refuse_over_limit(f"genus {g} witnesses: {coords} coordinates", coords * 8, "as hits")
-        return
-    for r in range(6 * g + 1):
-        rows, cols = h[r] + h[r - 2], nplus[r]
-        size = rows * -(-cols // 64) * 8
-        _refuse_over_limit(f"genus {g} witnesses: mu_{r} is {rows} x {cols}", size, "packed")
-
-
-def _check_sizes(diagrams: dict[int, Diagram], a: int, g: int, seed: int) -> None:
+def _check_sizes(diagrams: dict[int, Diagram], a: int, g: int, seeds) -> None:
     """Refuse, before any synthesis, an a+g split whose witnesses or lambdas
-    would hold over MAX_LAMBDA_BYTES in the form the engine of ``seed`` takes."""
-    for k in (a, g):
-        _check_witness_size(k, seed == 0)
-    for diag in diagrams.values():
-        _check_size(diag, seed == 0)
+    would hold over MAX_LAMBDA_BYTES in the form the engine of a seed keeps.
+
+    Seed 0 keeps each piece's witnesses as hit maps, one int64 per
+    coordinate of every nu_r and rho_r (mu_r's domain), and lambda as the
+    graph engine's two int64 ends per row.  Other seeds pack both; mu_r
+    stacks nu_r over rho_r, so it is the largest witness matrix such a
+    synthesis builds and its self-check ranks.  Shapes come from the
+    canonical ladders, which every inference candidate shares.
+    """
+    packed = lambda rows, cols: rows * -(-cols // 64) * 8  # noqa: E731
+    for seed in seeds:
+        sizes = []  # (what, bytes, form), in the order they are refused
+        for k in (a, g):
+            mu = canonical_data(k).mu
+            if seed == 0:
+                coords = sum(p.dom for p in mu)
+                sizes.append((f"genus {k} witnesses: {coords} coordinates", coords * 8, "as hits"))
+                continue
+            for r, p in enumerate(mu):
+                what = f"genus {k} witnesses: mu_{r} is {p.dom} x {p.cod}"
+                sizes.append((what, packed(p.dom, p.cod), "packed"))
+        for d in diagrams.values():
+            rows, cols = d.domain_dim(), d.codomain_dim()
+            size, form = (rows * 16, "as edges") if seed == 0 else (packed(rows, cols), "packed")
+            sizes.append((f"split {a}+{g} degree {d.degree}: lambda is {rows} x {cols}", size, form))
+        for what, size, form in sizes:
+            if size > MAX_LAMBDA_BYTES:
+                raise ValidationError(
+                    f"{what}, {size / 2**20:.1f} MiB {form}, "
+                    f"over the {MAX_LAMBDA_BYTES // 2**20} MiB limit"
+                )
 
 
 def realize(diag: Diagram, wa: WitnessSet, wb: WitnessSet) -> RealizedDiagram:
@@ -572,8 +556,7 @@ def split_report(a: int, g: int, seeds=(0,), degrees=None) -> SplitReport:
     if (a, g) == (2, 2):
         records = dict(enumerate(zip(reference.SPLIT22_KER, reference.SPLIT22_COKER)))
     diagrams = {r: build_split(r, a, g) for r in degrees}
-    for s in seeds:
-        _check_sizes(diagrams, a, g, s)
+    _check_sizes(diagrams, a, g, seeds)
     pairs = {s: _glue_pairs(diagrams, da, dg, s) for s in seeds}
     rows = []
     for r in degrees:
@@ -712,7 +695,7 @@ def infer_nu_ranks(
         top_rank = _max_nu_rank(ref.genus, ref.degree)
         choices.append(range(top_rank + 1) if ranks is None else ranks)
     diagrams = {r: build_split(r, a, g) for r in sorted({*degrees, *(r - 1 for r in degrees)})}
-    _check_sizes(diagrams, a, g, 0)  # every candidate's maps have the canonical shapes
+    _check_sizes(diagrams, a, g, (0,))
 
     bundles, shared = [], ({}, {}, {})
     for ranks in product(*choices):

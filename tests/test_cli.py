@@ -54,6 +54,9 @@ def test_csv_unavailable_for_reports(capsys):
     code, _, err = run(capsys, ["verify", "--max-genus", "2", "--format", "csv"])
     assert code == 1
     assert "csv" in err
+    code, _, err = run(capsys, ["infer", "--split", "1+1", "--unknown", "nu_2^1", "--format", "csv"])
+    assert code == 1
+    assert "csv" in err
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +374,19 @@ def test_mv_22_json(capsys):
     row10 = next(r for r in payload["rows"] if r["degree"] == 10)
     assert row10["chain"] == [25, 85] and row10["recorded"] == [25, 85]
     assert [5, 5, True] in payload["enumeration"]
+
+
+def test_mv_22_csv_rows_are_the_single_degree_rows(capsys):
+    code, out, _ = run(capsys, ["mv", "--split", "2+2", "--format", "csv"])
+    assert code == 0
+    header, *rows = out.splitlines()
+    assert len(rows) == 22
+    for r, line in enumerate(rows):
+        single = run(capsys, ["mv", "--split", "2+2", "--degree", str(r), "--format", "csv"])
+        assert single == (0, f"{header}\n{line}\n", "")
+    # several seeds give the first seed's rows, as every other split does
+    seeded = run(capsys, ["mv", "--split", "2+2", "--seed", "1", "--samples", "2", "--format", "csv"])
+    assert seeded == (0, out, "")
 
 
 # ---------------------------------------------------------------------------

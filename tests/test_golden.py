@@ -17,6 +17,7 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN = [
     ("mv_2+2.md", "mv --split 2+2", 0),
     ("mv_2+2.json", "mv --split 2+2 --format json", 0),
+    ("mv_2+2.csv", "mv --split 2+2 --format csv", 0),
     ("mv_2+2_seed1_samples2.json", "mv --split 2+2 --seed 1 --samples 2 --format json", 0),
     ("mv_2+2_degree9.json", "mv --split 2+2 --degree 9 --format json", 0),
     ("mv_1+3.json", "mv --split 1+3 --format json", 0),

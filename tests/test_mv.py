@@ -793,23 +793,24 @@ def test_size_limit_refuses_before_synthesis(monkeypatch):
 def test_witness_limit_admits_genus_7():
     import f2moduli.mv as mv
 
+    # with no lambda to size, the gate sizes only the pieces' packed witnesses
     for g in range(1, 8):
-        mv._check_witness_size(g, False)
+        mv._check_sizes({}, g, g, (1,))
     with pytest.raises(ValidationError, match=r"genus 8 witnesses: mu_21 .* packed"):
-        mv._check_witness_size(8, False)
+        mv._check_sizes({}, 8, 8, (1,))
 
 
 def test_hits_limit_admits_genus_10_at_seed_0(monkeypatch):
     import f2moduli.mv as mv
 
     for g in range(1, 11):
-        mv._check_witness_size(g, True)
+        mv._check_sizes({}, g, g, (0,))
     with pytest.raises(ValidationError, match=r"genus 11 witnesses: .* 236.8 MiB as hits"):
-        mv._check_witness_size(11, True)
+        mv._check_sizes({}, 11, 11, (0,))
     # 8 bytes a coordinate: genus 9 is 13.4 MiB of hits
     monkeypatch.setattr(mv, "MAX_LAMBDA_BYTES", 13 * 2**20)
     with pytest.raises(ValidationError, match=r"genus 9 witnesses: 1750320 coordinates, 13.4 MiB"):
-        mv._check_witness_size(9, True)
+        mv._check_sizes({}, 9, 9, (0,))
 
 
 def _count_syntheses(monkeypatch) -> list:
@@ -922,12 +923,10 @@ def test_split_report_ranks_each_degree_once_per_seed(monkeypatch):
 def test_size_limit_admits_3_plus_4(monkeypatch):
     import f2moduli.mv as mv
 
-    diagrams = [build_split(r, 3, 4) for r in range(40)]
-    for diag in diagrams:
-        mv._check_size(diag, False)
-        mv._check_size(diag, True)
+    diagrams = {r: build_split(r, 3, 4) for r in range(40)}
+    # seed 0 sizes hits and edges, seed 1 packed words
+    mv._check_sizes(diagrams, 3, 4, (0, 1))
     # and not by a wide margin: the dense engine's largest lambda is over 32 MiB
     monkeypatch.setattr(mv, "MAX_LAMBDA_BYTES", 32 * 2**20)
     with pytest.raises(ValidationError, match=r"split 3\+4 degree \d+: .* MiB packed"):
-        for diag in diagrams:
-            mv._check_size(diag, False)
+        mv._check_sizes(diagrams, 3, 4, (1,))

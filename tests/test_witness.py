@@ -329,3 +329,34 @@ def test_a_profile_rank_off_by_one_is_reported(w2, family, r, step):
     maps[r] = MapProfile(wrong, prof.dom, prof.cod)
     ws = replace(w2, data=replace(d, **{family: tuple(maps)}))
     assert ws.check() == [f"{family} rank at degree {r}"]
+
+
+def test_genus3_nu6_crossing_exchange_glues_every_split():
+    """Two zigzags of genus 3 whose spans cross (N+_0..N+_10 and N+_6..N+_12)
+    swap targets at nu_6: H_6 rows 0 and 15 hit N+_6 columns 15 and 0.
+    Every rank, k_s and t_r stays, yet 1+3, 2+3 and 3+3 then all glue,
+    where the canonical configuration leaves 2+3 and 3+3 off.
+
+    Ranked straight from the witness sets: the swapped set's plans still
+    name the canonical maps, so it must not go through split_report."""
+    from f2moduli.betti import mod2_table
+    from f2moduli.mv import build_split, glue_from_rows, graph_ker_coker, ker_coker, realize
+
+    canon = synthesize_witnesses(canonical_data(3))
+    nu6 = canon.nu_hits[6].copy()
+    assert list(nu6[[0, 15]]) == [0, 15]
+    nu6[[0, 15]] = nu6[[15, 0]]
+    swapped = _with_hits(canon, "nu", 6, nu6)
+    assert swapped.check() == []
+
+    def off(a, w3):
+        wa = w3 if a == 3 else synthesize_witnesses(canonical_data(a))
+        rows = {r: graph_ker_coker(build_split(r, a, 3), wa, w3) for r in range(6 * a + 16)}
+        # dense elimination of the realised matrices agrees at every degree
+        if w3 is swapped:
+            assert rows == {r: ker_coker(realize(build_split(r, a, 3), wa, w3)) for r in rows}
+        glued, target = glue_from_rows(rows, a + 3).values, mod2_table(a + 3).values
+        return [r for r in rows if glued[r] != target[r]]
+
+    assert [off(a, canon) for a in (1, 2, 3)] == [[], [13, 14], [16, 17]]
+    assert [off(a, swapped) for a in (1, 2, 3)] == [[], [], []]
