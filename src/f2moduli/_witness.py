@@ -146,22 +146,26 @@ class WitnessSet:
         )
         return side.rows - rank(side)
 
-    def check(self) -> list[str]:
+    def check(self, counted: dict | None = None) -> list[str]:
         """Recompute every profiled rank; returns the list of failures.
 
         At seed 0 every row of nu_r, rho_r and mu_r is a unit vector or
         zero, so each rank is the number of distinct columns the rows hit
         and is counted from the hits; other seeds eliminate densely.
+        ``counted`` keeps the counts by the (nu_r, rho_r) plans, which fix
+        the hits: checks that share it count each pair once.
         """
         bad = []
         d = self.data
-        for r in range(6 * d.genus + 1):
+        counted = {} if counted is None else counted
+        for r, key in enumerate(zip(*self.plans)):
             if self.nu_hits is None:
                 ranks = rank(self.nu[r]), rank(self.rho[r]), rank(self.mu(r))
             else:
-                n, p = self.nu_hits[r], self.rho_hits[r]
-                w = d.nplus[r]
-                ranks = _columns_hit(w, n), _columns_hit(w, p), _columns_hit(w, n, p)
+                if key not in counted:
+                    n, p, w = self.nu_hits[r], self.rho_hits[r], d.nplus[r]
+                    counted[key] = _columns_hit(w, n), _columns_hit(w, p), _columns_hit(w, n, p)
+                ranks = counted[key]
             for name, got, want in zip(("nu", "rho", "mu"), ranks, (d.nu[r], d.rho[r], d.mu[r])):
                 if got != want.rank:
                     bad.append(f"{name} rank at degree {r}")
@@ -172,13 +176,15 @@ def synthesize_witnesses(
     data: GenusData,
     seed: int = 0,
     built: dict[tuple, np.ndarray] | None = None,
+    counted: dict | None = None,
 ) -> WitnessSet:
     """Build witness maps for a genus bundle.
 
     Each k_s = dim(ker nu_s intersect ker rho_{s+2}) takes the smallest
     feasible value.  ``built`` holds the hit map of each plan made so
     far, and gains the ones this synthesis makes: syntheses that share it
-    make each plan's hits once, and share the array.
+    make each plan's hits once, and share the array; ``counted`` does the
+    same for the self-check's counts (:meth:`WitnessSet.check`).
     """
     g = data.genus
     top = 6 * g
@@ -226,7 +232,7 @@ def synthesize_witnesses(
         nu_hits = rho_hits = None
 
     ws = WitnessSet(data, (nu_plans, rho_plans), nu_mats, rho_mats, nu_hits, rho_hits)
-    bad = ws.check()
+    bad = ws.check(counted)
     if bad:
         raise InfeasibleError("synthesis failed self-check: " + ", ".join(bad))
     return ws

@@ -371,6 +371,8 @@ def _split22_document(report, scan, dumps: list[list[str]]) -> OutputDocument:
 
 
 def cmd_mv(args) -> tuple[OutputDocument, int]:
+    if args.describe and args.format == "csv":
+        raise ValueError("csv has no room for the --describe summand and edge dump; use markdown or json")
     a, g = args.split
     seeds = range(args.seed, args.seed + args.samples)
     report = split_report(a, g, seeds, None if args.degree is None else [args.degree])

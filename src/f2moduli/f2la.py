@@ -18,7 +18,7 @@ witnesses are the same on every run and platform.
 
 A matrix whose every row has at most two 1s never needs elimination: it
 is the edge-vertex incidence matrix of a graph, and :func:`edge_rank`
-counts its connected components instead.
+counts its connected components instead (:func:`edge_roots` labels them).
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ __all__ = [
     "BitMatrix",
     "rank",
     "edge_rank",
+    "edge_roots",
     "compose",
     "block_assemble",
     "kron",
@@ -272,15 +273,8 @@ def rank(m: BitMatrix) -> int:
     return r
 
 
-def edge_rank(ends: np.ndarray, cols: int) -> int:
-    """Rank over GF(2) of the matrix whose row k is e_u + e_v, (u, v) = ends[k].
-
-    The columns are 0..cols-1; an end equal to ``cols`` is the ground
-    vertex and adds nothing, so (c, cols) is a row with one 1 and
-    (cols, cols) a zero row.  Adding the ground as a column equal to the
-    sum of all the others keeps the rank and makes the matrix the
-    incidence matrix of a graph on cols + 1 vertices, whose rank over
-    GF(2) is (cols + 1) minus the number of connected components.
+def edge_roots(ends: np.ndarray, cols: int) -> np.ndarray:
+    """The root of each vertex's component in the graph of :func:`edge_rank`.
 
     Components come from vectorised hooking and pointer jumping
     (Shiloach and Vishkin, J. Algorithms 1982): each round points every
@@ -298,8 +292,7 @@ def edge_rank(ends: np.ndarray, cols: int) -> int:
         ru, rv = parent[u], parent[v]
         live = ru != rv
         if not live.any():
-            # (cols + 1) - components: every vertex but the roots
-            return int(np.count_nonzero(parent != np.arange(cols + 1)))
+            return parent
         u, v, ru, rv = u[live], v[live], ru[live], rv[live]
         np.minimum.at(parent, np.maximum(ru, rv), np.minimum(ru, rv))
         while True:
@@ -307,6 +300,19 @@ def edge_rank(ends: np.ndarray, cols: int) -> int:
             if np.array_equal(up, parent):
                 break
             parent = up
+
+
+def edge_rank(ends: np.ndarray, cols: int) -> int:
+    """Rank over GF(2) of the matrix whose row k is e_u + e_v, (u, v) = ends[k].
+
+    The columns are 0..cols-1; an end equal to ``cols`` is the ground
+    vertex and adds nothing, so (c, cols) is a row with one 1 and
+    (cols, cols) a zero row.  Adding the ground as a column equal to the
+    sum of all the others keeps the rank and makes the matrix the
+    incidence matrix of a graph on cols + 1 vertices, whose rank over
+    GF(2) is (cols + 1) minus the number of connected components.
+    """
+    return int(np.count_nonzero(edge_roots(ends, cols) != np.arange(cols + 1)))
 
 
 def _product(a: np.ndarray, inner: int, b: np.ndarray) -> np.ndarray:

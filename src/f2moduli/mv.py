@@ -19,7 +19,7 @@ lambda (a component count for the seed-0 witnesses, which make lambda
 the incidence matrix of a graph, and dense elimination for any other
 seed), one report that turns any split into rows (:func:`split_report`),
 and one rank inference for unrecorded arrows (:func:`infer_nu_ranks`),
-whose candidates share the rank of each degree's lambda for the maps it reads.
+whose candidates share lambda's rank per set of maps, contracting once the rows none changes.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .f2la import (
     BitMatrix,
     block_assemble,
     edge_rank,
+    edge_roots,
     kron,
     rank,
 )
@@ -258,8 +259,9 @@ def ker_coker(d: RealizedDiagram) -> tuple[int, int]:
     return total.rows - rk, total.cols - rk
 
 
-def lambda_edges(diag: Diagram, wa: WitnessSet, wb: WitnessSet) -> tuple[np.ndarray, int]:
-    """Lambda realised with seed-0 witnesses, as the two ends of each row.
+def lambda_edges(diag: Diagram, wa: WitnessSet, wb: WitnessSet,
+                 summands=None) -> tuple[np.ndarray, int]:
+    """Lambda with seed-0 witnesses as the two ends of each row (of ``summands``, if given).
 
     Seed-0 witnesses are partial injections of coordinates, so an arrow
     m x I_f or I_f x m sends each row to at most one column, and a domain
@@ -274,13 +276,15 @@ def lambda_edges(diag: Diagram, wa: WitnessSet, wb: WitnessSet) -> tuple[np.ndar
     """
     offsets, rows, cols = {}, 0, 0
     for label, dim in diag.summands.items():
-        if label[0] == "dom":
-            offsets[label], rows = rows, rows + dim
-        else:
+        if label[0] != "dom":
             offsets[label], cols = cols, cols + dim
+        elif summands is None or label in summands:
+            offsets[label], rows = rows, rows + dim
     # an end still at ``cols`` is an empty slot: every real end is below it
     ends = np.full((rows, 2), cols, dtype=np.int64)
     for (src, dst), spec in diag.edges.items():
+        if src not in offsets:
+            continue
         edge = f"edge {src}->{dst}"
         w = wa if spec.side == "A" else wb
         hits = w.nu_hits if spec.family == "nu" else w.rho_hits
@@ -306,12 +310,19 @@ def lambda_edges(diag: Diagram, wa: WitnessSet, wb: WitnessSet) -> tuple[np.ndar
     return ends, cols
 
 
-def graph_ker_coker(diag: Diagram, wa: WitnessSet, wb: WitnessSet) -> tuple[int, int]:
+def graph_ker_coker(diag: Diagram, wa: WitnessSet, wb: WitnessSet,
+                    moving=None, roots=None) -> tuple[int, int]:
     """Kernel and cokernel dimensions of lambda with seed-0 witnesses,
-    from a component count of its graph; no matrix is built."""
-    ends, cols = lambda_edges(diag, wa, wb)
-    rk = edge_rank(ends, cols)
-    return len(ends) - rk, cols - rk
+    from a component count of its graph; no matrix is built.
+
+    Given the ``roots`` (:func:`~f2moduli.f2la.edge_roots`) of the graph F of
+    the rows outside the domain summands ``moving``, it builds only those rows
+    V: rank lambda = rank F + rank V on F contracted (Oxley, *Matroid Theory*, 3.1).
+    """
+    ends, cols = lambda_edges(diag, wa, wb, moving)
+    base = 0 if roots is None else int(np.count_nonzero(roots != np.arange(cols + 1)))
+    rk = base + edge_rank(ends if roots is None else roots[ends], cols)
+    return diag.domain_dim() - rk, cols - rk
 
 
 # ---------------------------------------------------------------------------
@@ -489,28 +500,35 @@ def _rank_bounds(diag: Diagram, da: GenusData, dg: GenusData) -> tuple[int, int]
     return lo, hi
 
 
-def _glue_pairs(diagrams: dict[int, Diagram], da: GenusData, dg: GenusData, seed: int, shared=None):
+def _glue_pairs(diagrams: dict[int, Diagram], da: GenusData, dg: GenusData, seed: int,
+                shared=None, changed=()):
     """(ker, cok) by degree of ``diagrams`` realised with witness seed ``seed``.
 
     Seed 0 ranks lambda as a graph (:func:`graph_ker_coker`), since its
-    witnesses are coordinate maps; any other seed by dense elimination of
-    the realised diagram.  The caller has refused what is over
-    MAX_LAMBDA_BYTES (:func:`_check_sizes`).  Each piece's witnesses are
-    synthesised once, on first use, and each degree is ranked on first use.
+    witnesses are coordinate maps, in two parts: the base, the rows of the
+    domain summands whose arrows read no map in ``changed`` (genus, family,
+    degree), and the moving rows, ranked on the base contracted to its
+    components (a split report changes no map: its base is all of lambda).
+    Any other seed ranks by dense elimination of the realised diagram.  The
+    caller has refused what is over MAX_LAMBDA_BYTES (:func:`_check_sizes`).
+    Each piece's witnesses are synthesised once, on first use, and each
+    degree is ranked on first use.
 
-    ``shared`` holds three dicts, fresh unless a seed-0 inference scan
+    ``shared`` holds five dicts, fresh unless a seed-0 inference scan
     passes the same ones to all its candidates so that they share work:
     witness sets by genus and nu ranks, so a piece no candidate changes is
     synthesised once (every bundle :func:`canonical_data` and
     :func:`_with_nu_ranks` make has the mu, rho, h and n of its genus, so
     these fix its synthesis, and the key hashes no profile); the hit map
     of each plan, so a candidate makes only the maps whose plans no
-    earlier one had; and (ker, cok) by degree and the plans
-    of the maps lambda_r reads, which with ``diagrams[r]`` fix it at seed 0.
-    So each degree is ranked once per distinct set of maps, and a scan
-    holds one copy of each map.
+    earlier one had; the self-check's counts by plans; (ker, cok) by degree
+    and the plans of the maps lambda_r reads, which with ``diagrams[r]`` fix
+    it at seed 0; and the roots of each base by degree and the plans of the
+    maps it reads (None for a moving arrow).  So each degree is ranked once
+    per distinct set of maps, its base once per scan if ``changed`` names
+    every map a candidate changes (one left out costs only sharing).
     """
-    syntheses, built, ranks = shared or ({}, {}, {})
+    syntheses, built, counted, ranks, bases = shared or ({}, {}, {}, {}, {})
 
     @lru_cache(maxsize=None)
     def witnesses() -> tuple[WitnessSet, WitnessSet]:
@@ -518,7 +536,7 @@ def _glue_pairs(diagrams: dict[int, Diagram], da: GenusData, dg: GenusData, seed
         for data in (da, dg):
             key = (data.genus, tuple(p.rank for p in data.nu))
             if key not in syntheses:
-                syntheses[key] = synthesize_witnesses(data, seed, built=built)
+                syntheses[key] = synthesize_witnesses(data, seed, built=built, counted=counted)
             out.append(syntheses[key])
         return tuple(out)
 
@@ -526,11 +544,17 @@ def _glue_pairs(diagrams: dict[int, Diagram], da: GenusData, dg: GenusData, seed
     def pair(r: int) -> tuple[int, int]:
         if seed != 0:
             return ker_coker(realize(diagrams[r], *witnesses()))
-        plans = [w.plans for w in witnesses()]
-        edges = diagrams[r].edges.values()
-        key = (r, *(plans[e.side == "B"][e.family == "rho"][e.degree] for e in edges))
+        diag, w = diagrams[r], witnesses()
+        arrows = [(src, w[e.side == "B"].plans[e.family == "rho"][e.degree],
+                   (w[e.side == "B"].data.genus, e.family, e.degree) in changed)
+                  for (src, _), e in diag.edges.items()]
+        key = (r, *(plan for _, plan, _ in arrows))
         if key not in ranks:
-            ranks[key] = graph_ker_coker(diagrams[r], *witnesses())
+            moving = {src for src, _, moves in arrows if moves}
+            fixed = (r, *(None if src in moving else plan for src, plan, _ in arrows))
+            if fixed not in bases:
+                bases[fixed] = edge_roots(*lambda_edges(diag, *w, set(diag.summands) - moving))
+            ranks[key] = graph_ker_coker(diag, *w, moving, bases[fixed])
         return ranks[key]
 
     return pair
@@ -677,7 +701,8 @@ def infer_nu_ranks(
     |ker lambda_{r-1}| at the glue degrees (by default all, 1..6(a+g)-3)
     in order, stopping at the first where exactly one combination passes.
     Candidates share ranks: lambda_r is ranked once for each distinct set
-    of witness maps it reads (see :func:`_glue_pairs`).
+    of witness maps it reads, and its rows that read no map an unknown
+    changes (nu_s and rho_{s+2}) once per scan (see :func:`_glue_pairs`).
     """
     top = 6 * (a + g) - 3
     degrees = range(1, top + 1) if degrees is None else list(degrees)
@@ -697,7 +722,8 @@ def infer_nu_ranks(
     diagrams = {r: build_split(r, a, g) for r in sorted({*degrees, *(r - 1 for r in degrees)})}
     _check_sizes(diagrams, a, g, (0,))
 
-    bundles, shared = [], ({}, {}, {})
+    bundles, shared = [], ({}, {}, {}, {}, {})
+    changed = {(u.genus, *m) for u in unknowns for m in (("nu", u.degree), ("rho", u.degree + 2))}
     for ranks in product(*choices):
         rank = ranks[0] if len(ranks) == 1 else ranks
         try:
@@ -708,7 +734,7 @@ def infer_nu_ranks(
         except ValidationError:
             bundles.append((rank, None))
             continue
-        bundles.append((rank, _glue_pairs(diagrams, data[a], data[g], 0, shared)))
+        bundles.append((rank, _glue_pairs(diagrams, data[a], data[g], 0, shared, changed=changed)))
 
     target = mod2_table(a + g)
     checks = []

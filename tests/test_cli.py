@@ -335,6 +335,14 @@ def test_mv_describe_dumps_edges(capsys):
     assert "dom[0,0]: dim" in out and "-> red[" in out
 
 
+def test_mv_describe_has_no_csv(capsys):
+    code, out, err = run(capsys, ["mv", "--split", "1+2", "--degree", "4", "--describe", "--format", "csv"])
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: csv has no room for the --describe summand and edge dump; use markdown or json\n"
+    )
+
+
 @pytest.mark.parametrize("samples", ["0", "-1"])
 def test_mv_rejects_samples_below_one(capsys, samples):
     code, out, err = run(capsys, ["mv", "--split", "1+1", "--samples", samples])

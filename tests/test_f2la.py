@@ -292,6 +292,49 @@ def test_edge_rank_of_a_long_path_and_a_cycle():
     assert f2la.edge_rank(cycle, n) == n - 1
 
 
+def check_contraction(fixed: np.ndarray, moving: np.ndarray, cols: int) -> None:
+    """r(F + V) = r(F) + the rank of V with F contracted: V's ends mapped to F's roots."""
+    roots = f2la.edge_roots(fixed, cols)
+    assert np.array_equal(roots[roots], roots)  # one root per component
+    both = np.concatenate([fixed, moving]).reshape(-1, 2)
+    contracted = f2la.edge_rank(roots[moving].reshape(-1, 2), cols)
+    assert f2la.rank(edge_matrix(fixed, cols)) + contracted == f2la.rank(edge_matrix(both, cols))
+
+
+@given(st.integers(0, 60), st.integers(0, 40), st.integers(0, 130), st.integers(0, 2**32 - 1))
+@settings(max_examples=60)
+def test_contracted_rank_adds_to_the_fixed_rank(fixed, moving, cols, seed):
+    rng = np.random.default_rng(seed)
+    f = rng.integers(0, cols + 1, size=(fixed, 2))
+    f[: fixed // 4, 1] = cols  # rows with one 1: an end at the ground vertex
+    v = rng.integers(0, cols + 1, size=(moving, 2))
+    v[: moving // 4, 0] = cols
+    check_contraction(f, v, cols)
+    check_contraction(f, v[:0], cols)  # nothing moves
+
+
+@given(st.integers(1, 60), st.integers(0, 130), st.integers(0, 2**32 - 1))
+@settings(max_examples=40)
+def test_rows_inside_fixed_components_contract_to_self_loops(fixed, cols, seed):
+    rng = np.random.default_rng(seed)
+    f = rng.integers(0, cols + 1, size=(fixed, 2))
+    roots = f2la.edge_roots(f, cols)
+    # each moving row joins two vertices of one fixed component, the ground's too
+    u = rng.integers(0, cols + 1, size=fixed)
+    mates = np.array([rng.choice(np.flatnonzero(roots == roots[x])) for x in u])
+    v = np.stack([u, mates], axis=1)
+    assert f2la.edge_rank(roots[v], cols) == 0
+    check_contraction(f, v, cols)
+
+
+def test_edge_roots_label_each_component_by_one_vertex():
+    # columns 0..5, ground 6: {0, 2, 6} joined (2 -> ground), {1, 3}, 4 and 5 alone
+    roots = f2la.edge_roots(np.array([[2, 0], [3, 1], [2, 6]]), 6)
+    assert roots.tolist() == [0, 1, 0, 1, 4, 5, 0]
+    assert f2la.edge_rank(np.array([[2, 0], [3, 1], [2, 6]]), 6) == 3
+    assert f2la.edge_roots(np.zeros((0, 2), dtype=np.int64), 3).tolist() == [0, 1, 2, 3]
+
+
 def test_edge_rank_rejects_ends_outside_the_columns():
     with pytest.raises(ShapeError):
         f2la.edge_rank(np.array([[0, 4]]), 3)

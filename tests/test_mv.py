@@ -512,7 +512,9 @@ def test_joint_scan22_is_the_scan_of_fresh_bundles(scan22):
 @pytest.mark.parametrize("family", ["nu", "rho"])
 def test_shared_ranks_tell_every_map_apart(a, g, family):
     """Two bundles whose witnesses differ in one map, on either side, share
-    no rank at a degree whose lambda reads that map."""
+    no rank at a degree whose lambda reads that map: neither when the map
+    is named as changed, so that they share each base without it, nor
+    when it is not, so that it lies in the base."""
     import f2moduli.mv as mv
 
     data = {1: canonical_data(1), 2: canonical_data(2)}
@@ -536,18 +538,47 @@ def test_shared_ranks_tell_every_map_apart(a, g, family):
         tampered = {**wits, 2: replace(
             wits[2], plans=tuple(map(tuple, plans)), **{f"{family}_hits": tuple(maps)}
         )}
-        # the two share hits and ranks; the tampered one finds its genus-2
-        # witnesses where _glue_pairs keys a synthesis, by genus and nu ranks
-        built, ranks = {}, {}
+        # the two share hits, counts, ranks and bases; the tampered one finds
+        # its genus-2 witnesses where _glue_pairs keys a synthesis, by genus
+        # and nu ranks
         key = (2, tuple(p.rank for p in data[2].nu))
-        pairs = mv._glue_pairs(diagrams, data[a], data[g], 0, ({}, built, ranks))
-        tampered_pairs = mv._glue_pairs(diagrams, data[a], data[g], 0, ({key: tampered[2]}, built, ranks))
-        for r, diag in diagrams.items():
-            assert pairs(r) == graph_ker_coker(diag, wits[a], wits[g])
-            want = graph_ker_coker(diag, tampered[a], tampered[g])
-            assert tampered_pairs(r) == want, f"{family}_{k} at degree {r}"
-            moved += want != pairs(r)
+        for changed in ((), {(2, family, k)}):
+            built, counted, ranks, bases = {}, {}, {}, {}
+            pairs = mv._glue_pairs(
+                diagrams, data[a], data[g], 0, ({}, built, counted, ranks, bases), changed=changed
+            )
+            tampered_pairs = mv._glue_pairs(
+                diagrams, data[a], data[g], 0,
+                ({key: tampered[2]}, built, counted, ranks, bases), changed=changed,
+            )
+            for r, diag in diagrams.items():
+                assert pairs(r) == graph_ker_coker(diag, wits[a], wits[g])
+                want = graph_ker_coker(diag, tampered[a], tampered[g])
+                assert tampered_pairs(r) == want, f"{family}_{k} at degree {r}, changed {changed}"
+                moved += want != pairs(r)
     assert moved  # the lost rows change some lambda
+
+
+@pytest.mark.parametrize(
+    "named",
+    [set(), {(3, "nu", 9)}, {(3, "rho", 11)}, {(1, "nu", 2)}],
+    ids=["none", "nu_9-only", "rho_11-only", "another-map"],
+)
+def test_too_few_changed_maps_still_give_the_scan_of_fresh_bundles(monkeypatch, named):
+    """A scan that names too few of the maps its candidates change (nu_9^3
+    and rho_11^3) shares fewer bases, and gives the same scan."""
+    import f2moduli.mv as mv
+
+    glue_pairs, calls = mv._glue_pairs, []
+
+    def renamed(*args, changed=()):
+        calls.append(changed)
+        return glue_pairs(*args, changed=named)
+
+    monkeypatch.setattr(mv, "_glue_pairs", renamed)
+    unknowns = {MapRef("nu", 9, 3): None}
+    assert infer_nu_ranks(1, 3, unknowns) == _fresh_scan(1, 3, unknowns)
+    assert calls and all(c == {(3, "nu", 9), (3, "rho", 11)} for c in calls)
 
 
 SCANS = {
@@ -878,20 +909,36 @@ def test_inference_builds_each_degree_once_for_all_candidates(monkeypatch):
 
 
 def _count_rankings(monkeypatch) -> dict:
-    """Record the degree of every lambda each rank engine ranks."""
+    """Record the degree of every lambda each rank engine ranks, of every
+    base whose components the graph engine labels, the rows of lambda it
+    builds, and the rows a ranking of the whole lambda would build."""
     import f2moduli.mv as mv
 
-    calls = {"graph": [], "dense": []}
+    calls = {"graph": [], "base": [], "dense": [], "rows": 0, "whole": 0}
+    ranking = []  # the diagram graph_ker_coker is ranking, if any
 
-    def graph(diag, wa, wb):
+    def graph(diag, wa, wb, *contracted):
         calls["graph"].append(diag.degree)
-        return graph_ker_coker(diag, wa, wb)
+        calls["whole"] += diag.domain_dim()
+        ranking.append(diag)
+        try:
+            return graph_ker_coker(diag, wa, wb, *contracted)
+        finally:
+            ranking.pop()
+
+    def edges(diag, wa, wb, summands=None):
+        ends, cols = lambda_edges(diag, wa, wb, summands)
+        calls["rows"] += len(ends)
+        if not ranking:
+            calls["base"].append(diag.degree)
+        return ends, cols
 
     def dense(diag, wa, wb):
         calls["dense"].append(diag.degree)
         return realize(diag, wa, wb)
 
     monkeypatch.setattr(mv, "graph_ker_coker", graph)
+    monkeypatch.setattr(mv, "lambda_edges", edges)
     monkeypatch.setattr(mv, "realize", dense)
     return calls
 
@@ -905,6 +952,12 @@ def test_inference_ranks_each_degree_once_per_set_of_maps(monkeypatch):
     assert (feasible, len(scan.checks)) == (23, 21)
     assert len(calls["graph"]) <= 152
     assert set(calls["graph"]) == set(range(22))
+    # the rows that read neither nu_9^3 nor rho_11^3 are labelled once per degree,
+    # and each ranking builds only the rest
+    assert sorted(calls["base"]) == list(range(22))
+    # ranking each whole lambda, as the engine once did, builds 15,061 rows
+    # over 152 rankings; 4,788 were built when this was written
+    assert calls["rows"] < calls["whole"] <= 15061
     assert calls["dense"] == []
     # the genus-1 piece is the same bundle for every candidate
     assert sorted(syntheses) == [(1, 0)] + [(3, 0)] * 23
@@ -915,6 +968,9 @@ def test_split_report_ranks_each_degree_once_per_seed(monkeypatch):
     syntheses = _count_syntheses(monkeypatch)
     split_report(2, 2, (0, 1))
     assert sorted(calls["graph"]) == list(range(22))
+    # no map moves: each base is the whole lambda, and its ranking builds no row
+    assert sorted(calls["base"]) == list(range(22))
+    assert calls["rows"] == calls["whole"]
     assert sorted(calls["dense"]) == list(range(22))
     # both pieces are the one cached genus-2 bundle: one synthesis per seed
     assert sorted(syntheses) == [(2, 0), (2, 1)]

@@ -331,6 +331,27 @@ def test_a_profile_rank_off_by_one_is_reported(w2, family, r, step):
     assert ws.check() == [f"{family} rank at degree {r}"]
 
 
+@pytest.mark.parametrize("family", ["nu", "rho", "mu"])
+def test_shared_counts_still_report_a_tampered_profile_rank(monkeypatch, family):
+    """Self-checks that share their counts by plans compare the counts with
+    each candidate's own profile ranks: a candidate whose maps an earlier
+    one already counted, but whose profile says another rank, still fails."""
+    counted = {}
+    ws = synthesize_witnesses(canonical_data(3), 0, counted=counted)
+    assert ws.check(counted) == []
+    pairs = len(counted)  # one count per distinct (nu_r, rho_r) pair of plans
+    assert 0 < pairs <= 19
+    d = ws.data
+    r = next(r for r, p in enumerate(getattr(d, family)) if 0 < p.rank)
+    maps = list(getattr(d, family))
+    maps[r] = MapProfile(maps[r].rank - 1, maps[r].dom, maps[r].cod)
+    tampered = replace(ws, data=replace(d, **{family: tuple(maps)}))
+    recounted = []
+    monkeypatch.setattr(_witness, "_columns_hit", lambda *args: recounted.append(args) or _columns_hit(*args))
+    assert tampered.check(counted) == [f"{family} rank at degree {r}"]
+    assert recounted == [] and len(counted) == pairs  # every count came from the shared ones
+
+
 def test_genus3_nu6_crossing_exchange_glues_every_split():
     """Two zigzags of genus 3 whose spans cross (N+_0..N+_10 and N+_6..N+_12)
     swap targets at nu_6: H_6 rows 0 and 15 hit N+_6 columns 15 and 0.
