@@ -172,11 +172,34 @@ class WitnessSet:
         return bad
 
 
+def _nu_plan(data: GenusData, r: int) -> tuple:
+    """The plan of nu_r: its kernel is the last coordinates of V_r, and its
+    image starts where it overlaps rho_r's in t_r = rank nu + rank rho - rank mu."""
+    rn, rr, rm = data.nu[r].rank, data.rho[r].rank, data.mu[r].rank
+    t = rn + rr - rm
+    if not 0 <= t <= min(rn, rr):
+        raise InfeasibleError(f"image overlap infeasible at degree {r}")
+    d = data.h[r]
+    return _plan(d, data.nplus[r], ((d - data.nu[r].kernel, d),), range(rr - t, rr - t + rn))
+
+
+def _rho_plan(data: GenusData, r: int) -> tuple:
+    """The plan of rho_r on V_{r-2}: its kernel meets nu_{r-2}'s in the
+    smallest feasible k_{r-2}, and its image is the first rank rho_r columns."""
+    d, zeros = data.h[r - 2], ()
+    if r >= 2:
+        kn, kr = data.nu[r - 2].kernel, data.rho[r].kernel
+        k = max(0, kn + kr - d)  # never above min(kn, kr), as both kernels lie in V_{r-2}
+        zeros = ((d - k, d), (d - kn - (kr - k), d - kn))
+    return _plan(d, data.nplus[r], zeros, range(data.rho[r].rank))
+
+
 def synthesize_witnesses(
     data: GenusData,
     seed: int = 0,
     built: dict[tuple, np.ndarray] | None = None,
     counted: dict | None = None,
+    like: WitnessSet | None = None,
 ) -> WitnessSet:
     """Build witness maps for a genus bundle.
 
@@ -184,40 +207,30 @@ def synthesize_witnesses(
     feasible value.  ``built`` holds the hit map of each plan made so
     far, and gains the ones this synthesis makes: syntheses that share it
     make each plan's hits once, and share the array; ``counted`` does the
-    same for the self-check's counts (:meth:`WitnessSet.check`).
+    same for the self-check's counts (:meth:`WitnessSet.check`), which
+    still compares every degree.  ``like`` is an earlier seed-0 synthesis:
+    where its bundle has the same h, n, mu and rho, only the nu profiles
+    can differ, and a nu_s that does changes only the plans of nu_s and
+    rho_{s+2}, so those are the only plans made and every other plan and
+    hit map is ``like``'s.
     """
     g = data.genus
     top = 6 * g
     built = {} if built is None else built
-
-    # domain plans: which coordinates of V_s the two kernels occupy
-    nu_zeros: list[tuple] = []
-    rho_zeros: list[tuple] = [()] * (top + 1)
-    for s in range(top + 1):
-        d = data.h[s]
-        kn = data.nu[s].kernel
-        nu_zeros.append(((d - kn, d),))
-        if s + 2 > top:
-            continue
-        kr = data.rho[s + 2].kernel
-        k = max(0, kn + kr - d)  # never above min(kn, kr), as both kernels lie in V_s
-        rho_zeros[s + 2] = ((d - k, d), (d - kn - (kr - k), d - kn))
-
-    # codomain plans: which coordinates of W_r the two images occupy
-    plans = []
-    for r in range(top + 1):
-        rn, rr, rm = data.nu[r].rank, data.rho[r].rank, data.mu[r].rank
-        t = rn + rr - rm
-        if not 0 <= t <= min(rn, rr):
-            raise InfeasibleError(f"image overlap infeasible at degree {r}")
-        plans.append((
-            _plan(data.h[r], data.nplus[r], nu_zeros[r], range(rr - t, rr - t + rn)),
-            _plan(data.h[r - 2], data.nplus[r], rho_zeros[r], range(rr)),
-        ))
-    nu_plans, rho_plans = zip(*plans)
-    for plan in {*nu_plans, *rho_plans} - built.keys():
-        built[plan] = _hits(plan)
-    nu_hits, rho_hits = (tuple(built[p] for p in ps) for ps in (nu_plans, rho_plans))
+    same = lambda d: (d.h, d.nplus, d.mu, d.rho)  # noqa: E731
+    if like is None or same(like.data) != same(data):
+        like, todo = None, [(r, f) for r in range(top + 1) for f in (0, 1)]
+    else:  # (degree, 0 for nu or 1 for rho) of each plan a changed nu_s moves
+        moved = [s for s, (p, q) in enumerate(zip(data.nu, like.data.nu)) if p != q]
+        todo = sorted((s + 2 * f, f) for s in moved for f in (0, 1) if s + 2 * f <= top)
+    plans = [list(like.plans[f]) if like else [None] * (top + 1) for f in (0, 1)]
+    hits = [list(like.rho_hits if f else like.nu_hits) if like else [None] * (top + 1) for f in (0, 1)]
+    for r, f in todo:
+        plan = plans[f][r] = (_rho_plan if f else _nu_plan)(data, r)
+        if plan not in built:
+            built[plan] = _hits(plan)
+        hits[f][r] = built[plan]
+    (nu_plans, rho_plans), (nu_hits, rho_hits) = map(tuple, plans), map(tuple, hits)
 
     nu_mats = rho_mats = None
     if seed != 0:

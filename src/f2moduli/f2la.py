@@ -18,7 +18,8 @@ witnesses are the same on every run and platform.
 
 A matrix whose every row has at most two 1s never needs elimination: it
 is the edge-vertex incidence matrix of a graph, and :func:`edge_rank`
-counts its connected components instead (:func:`edge_roots` labels them).
+counts its connected components instead (:func:`edge_roots` labels them;
+:func:`compact_labels` renumbers the vertices a graph's edges touch).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ __all__ = [
     "rank",
     "edge_rank",
     "edge_roots",
+    "compact_labels",
     "compose",
     "block_assemble",
     "kron",
@@ -313,6 +315,26 @@ def edge_rank(ends: np.ndarray, cols: int) -> int:
     GF(2) is (cols + 1) minus the number of connected components.
     """
     return int(np.count_nonzero(edge_roots(ends, cols) != np.arange(cols + 1)))
+
+
+def compact_labels(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """``values`` renumbered 0..k-1 in increasing order, and k, the number of
+    distinct values.
+
+    Relabelling the vertices a set of edges touches this way gives a graph
+    on k vertices with the same :func:`edge_rank`, since a vertex no edge
+    touches adds nothing to it.  The renumbering sorts: ``np.unique``
+    would give the same, but imports ``numpy.ma``, over a MiB of resident
+    memory.
+    """
+    values = np.asarray(values, dtype=np.int64)
+    flat = values.ravel()
+    order = np.argsort(flat)
+    step = np.zeros(flat.size, dtype=np.int64)
+    step[1:] = flat[order[1:]] != flat[order[:-1]]  # 1 where the sorted values rise
+    labels = np.empty_like(flat)
+    labels[order] = np.cumsum(step)
+    return labels.reshape(values.shape), int(step.sum()) + 1 if flat.size else 0
 
 
 def _product(a: np.ndarray, inner: int, b: np.ndarray) -> np.ndarray:

@@ -18,8 +18,10 @@ at the degrees where the profiles force them, two rank engines for
 lambda (a component count for the seed-0 witnesses, which make lambda
 the incidence matrix of a graph, and dense elimination for any other
 seed), one report that turns any split into rows (:func:`split_report`),
-and one rank inference for unrecorded arrows (:func:`infer_nu_ranks`),
-whose candidates share lambda's rank per set of maps, contracting once the rows none changes.
+and one rank inference for unrecorded arrows (:func:`infer_nu_ranks`).
+Its candidates share lambda's rank per set of maps, and pay only for the
+maps they change: each degree's rows that read none are contracted once
+per scan, and a candidate synthesises, and ranks, only its changed maps.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from ._witness import WitnessSet, synthesize_witnesses
 from .f2la import (
     BitMatrix,
     block_assemble,
+    compact_labels,
     edge_rank,
     edge_roots,
     kron,
@@ -259,70 +262,154 @@ def ker_coker(d: RealizedDiagram) -> tuple[int, int]:
     return total.rows - rk, total.cols - rk
 
 
-def lambda_edges(diag: Diagram, wa: WitnessSet, wb: WitnessSet,
-                 summands=None) -> tuple[np.ndarray, int]:
-    """Lambda with seed-0 witnesses as the two ends of each row (of ``summands``, if given).
-
-    Seed-0 witnesses are partial injections of coordinates, so an arrow
-    m x I_f or I_f x m sends each row to at most one column, and a domain
-    summand has at most one red and one blue arrow: every row of lambda
-    has at most two 1s.  Row i*f + t of kron(m, I_f) hits column
-    c_i*f + t, and row t*m.rows + i of kron(I_f, m) hits t*m.cols + c_i,
-    where c_i is the column row i of m hits.  Returns the ends, in the
-    form :func:`~f2moduli.f2la.edge_rank` takes, and the number of
-    columns; the ground vertex ``cols`` stands in for a missing end.
-    Raises ShapeError where a row would get a third end, a witness row
-    is not one column, or an arrow has the wrong shape.
-    """
-    offsets, rows, cols = {}, 0, 0
+def _offsets(diag: Diagram, summands=None) -> tuple[dict, dict, int, int]:
+    """Row offset of each domain summand (of ``summands``, if given) and column
+    offset of each codomain summand of lambda, in the order of ``diag.summands``,
+    and the numbers of rows and columns."""
+    rows_at, cols_at, rows, cols = {}, {}, 0, 0
     for label, dim in diag.summands.items():
         if label[0] != "dom":
-            offsets[label], cols = cols, cols + dim
+            cols_at[label], cols = cols, cols + dim
         elif summands is None or label in summands:
-            offsets[label], rows = rows, rows + dim
+            rows_at[label], rows = rows, rows + dim
+    return rows_at, cols_at, rows, cols
+
+
+def _arrow_hits(diag: Diagram, src: Label, dst: Label, spec: EdgeSpec,
+                w: WitnessSet) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of summand ``src`` that the arrow to ``dst`` sends to a column,
+    and those columns of ``dst``, with seed-0 witnesses ``w`` on its side.
+
+    Seed-0 witnesses are partial injections of coordinates, so m x I_f and
+    I_f x m send each row to at most one column: row i*f + t of kron(m, I_f)
+    hits column c_i*f + t, and row t*m.rows + i of kron(I_f, m) hits
+    t*m.cols + c_i, where c_i (-1 for none) is the column row i of m hits.
+    Raises ShapeError where a witness row is not one column, or the arrow
+    has the wrong shape.
+    """
+    hits = w.nu_hits if spec.family == "nu" else w.rho_hits
+    if hits is None:
+        raise ShapeError(f"edge {src}->{dst}: the witness is not a coordinate map")
+    m = getattr(w.data, spec.family)[spec.degree]  # its profile gives the shape
+    c, f = hits[spec.degree], spec.factor
+    if c.shape != (m.dom,):
+        raise ShapeError(f"edge {src}->{dst}: a row of {spec.family}_{spec.degree} is not one column")
+    if (m.dom * f, m.cod * f) != (diag.summands[src], diag.summands[dst]):
+        raise ShapeError(f"edge {src}->{dst} realised with the wrong shape")
+    live, t = (c >= 0).nonzero()[0], np.arange(f)
+    if spec.position == "left":
+        return (live[:, None] * f + t).ravel(), (c[live][:, None] * f + t).ravel()
+    return (t[:, None] * m.dom + live).ravel(), (t[:, None] * m.cod + c[live]).ravel()
+
+
+def lambda_edges(diag: Diagram, wa: WitnessSet, wb: WitnessSet,
+                 summands=None, skip=()) -> tuple[np.ndarray, int]:
+    """Lambda with seed-0 witnesses as the two ends of each row (of ``summands``, if given).
+
+    A domain summand has at most one red and one blue arrow, and each
+    sends a row to at most one column (:func:`_arrow_hits`), so every row
+    of lambda has at most two 1s.  Returns the ends, in the form
+    :func:`~f2moduli.f2la.edge_rank` takes, and the number of columns; the
+    ground vertex ``cols`` stands in for a missing end, and an arrow
+    (src, dst) in ``skip`` is left out.  A row's ends fill its two slots
+    in the order of ``diag.edges``.  Raises ShapeError where a row would
+    get a third end, a witness row is not one column, or an arrow has the
+    wrong shape.
+    """
+    rows_at, cols_at, rows, cols = _offsets(diag, summands)
     # an end still at ``cols`` is an empty slot: every real end is below it
     ends = np.full((rows, 2), cols, dtype=np.int64)
     for (src, dst), spec in diag.edges.items():
-        if src not in offsets:
+        if src not in rows_at or (src, dst) in skip:
             continue
-        edge = f"edge {src}->{dst}"
-        w = wa if spec.side == "A" else wb
-        hits = w.nu_hits if spec.family == "nu" else w.rho_hits
-        if hits is None:
-            raise ShapeError(f"{edge}: the witness is not a coordinate map")
-        m = getattr(w.data, spec.family)[spec.degree]  # its profile gives the shape
-        c, f = hits[spec.degree], spec.factor
-        if c.shape != (m.dom,):
-            raise ShapeError(f"{edge}: a row of {spec.family}_{spec.degree} is not one column")
-        if spec.position == "left":
-            cell = (c[:, None] * f + np.arange(f)).ravel()
-            live = np.repeat(c >= 0, f)
-        else:
-            cell = (np.arange(f)[:, None] * m.cod + c).ravel()
-            live = np.tile(c >= 0, f)
-        if (cell.size, m.cod * f) != (diag.summands[src], diag.summands[dst]):
-            raise ShapeError(f"{edge} realised with the wrong shape")
-        hit = np.flatnonzero(live)
-        slot = (ends[offsets[src] + hit] != cols).sum(axis=1)
+        hit, cell = _arrow_hits(diag, src, dst, spec, wa if spec.side == "A" else wb)
+        slot = (ends[rows_at[src] + hit] != cols).sum(axis=1)
         if hit.size and slot.max() > 1:
-            raise ShapeError(f"{edge} gives a row of lambda a third 1")
-        ends[offsets[src] + hit, slot] = offsets[dst] + cell[hit]
+            raise ShapeError(f"edge {src}->{dst} gives a row of lambda a third 1")
+        ends[rows_at[src] + hit, slot] = cols_at[dst] + cell
     return ends, cols
 
 
-def graph_ker_coker(diag: Diagram, wa: WitnessSet, wb: WitnessSet,
-                    moving=None, roots=None) -> tuple[int, int]:
+def graph_ker_coker(diag: Diagram, wa: WitnessSet, wb: WitnessSet) -> tuple[int, int]:
     """Kernel and cokernel dimensions of lambda with seed-0 witnesses,
-    from a component count of its graph; no matrix is built.
-
-    Given the ``roots`` (:func:`~f2moduli.f2la.edge_roots`) of the graph F of
-    the rows outside the domain summands ``moving``, it builds only those rows
-    V: rank lambda = rank F + rank V on F contracted (Oxley, *Matroid Theory*, 3.1).
-    """
-    ends, cols = lambda_edges(diag, wa, wb, moving)
-    base = 0 if roots is None else int(np.count_nonzero(roots != np.arange(cols + 1)))
-    rk = base + edge_rank(ends if roots is None else roots[ends], cols)
+    from a component count of its graph; no matrix is built."""
+    ends, cols = lambda_edges(diag, wa, wb)
+    rk = edge_rank(ends, cols)
     return diag.domain_dim() - rk, cols - rk
+
+
+class _Contraction:
+    """Lambda_r of an inference scan, split where the candidates differ.
+
+    The base F is the rows of the domain summands none of whose arrows
+    reads a map the scan changes; its rank ``base`` is the same for every
+    candidate.  The moving rows V are the rest, ranked on the graph of F
+    contracted: each end goes to the root of its component of F
+    (:func:`~f2moduli.f2la.edge_roots`), and rank lambda = rank F + rank V
+    there (Oxley, *Matroid Theory*, 3.1).  Its vertices are only the
+    ``vertices`` roots an end of V can reach, compacted to 0..vertices-1
+    (:func:`~f2moduli.f2la.compact_labels`).  ``ends`` holds V's ends from
+    the arrows that read no changed map; an end that is missing or read
+    from a changed map is the ground's.  ``arrows`` lists the arrows that
+    read a changed map, as (src, dst, spec, first row of src in V, slot,
+    the vertex of each column of dst).  A candidate fills in only those
+    ends, from its own hits.
+    """
+
+    def __init__(self, arrows: tuple, base: int, ends: np.ndarray, vertices: int, dom: int, cols: int):
+        self.arrows, self.base, self.ends, self.vertices, self.dom, self.cols = (
+            arrows, base, ends, vertices, dom, cols
+        )
+
+    @classmethod
+    def of(cls, diag: Diagram, wa: WitnessSet, wb: WitnessSet, changed) -> _Contraction | None:
+        """The split of lambda_r for the maps ``changed`` (genus, family,
+        degree), from witnesses with the scan's other maps; None where
+        lambda_r reads none of them."""
+        w = (wa, wb)
+        moves = [(src, dst, e) for (src, dst), e in diag.edges.items()
+                 if (w[e.side == "B"].data.genus, e.family, e.degree) in changed]
+        if not moves:
+            return None
+        moving = {src for src, _, _ in moves}
+        roots = edge_roots(*lambda_edges(diag, wa, wb, set(diag.summands) - moving))
+        skip = {(src, dst) for src, dst, _ in moves}
+        ends, cols = lambda_edges(diag, wa, wb, moving, skip)
+        # a moving row's unchanged end, if any, is in slot 0; the changed
+        # ends, which each candidate makes itself, take the slots after it
+        used = {src: 0 for src in moving}
+        for src, _ in diag.edges.keys() - skip:
+            if src in moving:
+                used[src] += 1
+        slots = []
+        for src, dst, _ in moves:
+            slots.append(used[src])
+            used[src] += 1
+            if slots[-1] > 1:
+                raise ShapeError(f"edge {src}->{dst} gives a row of lambda a third 1")
+        rows_at, cols_at, _, _ = _offsets(diag, moving)
+        reach = [roots[ends].ravel(), *(roots[cols_at[dst]:cols_at[dst] + diag.summands[dst]]
+                                        for _, dst, _ in moves)]
+        labels, vertices = compact_labels(np.concatenate(reach))
+        labels = np.split(labels, np.cumsum([r.size for r in reach])[:-1])
+        arrows = tuple((src, dst, e, rows_at[src], slot, to)
+                       for (src, dst, e), slot, to in zip(moves, slots, labels[1:]))
+        base = int(np.count_nonzero(roots != np.arange(cols + 1)))
+        return cls(arrows, base, labels[0].reshape(-1, 2), vertices, diag.domain_dim(), cols)
+
+    def plans(self, wa: WitnessSet, wb: WitnessSet) -> tuple:
+        """The plans of the changed maps, which with the base fix lambda_r."""
+        w = (wa, wb)
+        return tuple(w[e.side == "B"].plans[e.family == "rho"][e.degree] for _, _, e, *_ in self.arrows)
+
+    def ker_coker(self, diag: Diagram, wa: WitnessSet, wb: WitnessSet) -> tuple[int, int]:
+        """(ker, cok) of lambda_r with these witnesses; only V's changed ends are made."""
+        ends = self.ends.copy()
+        for src, dst, e, row, slot, to in self.arrows:
+            hit, cell = _arrow_hits(diag, src, dst, e, wb if e.side == "B" else wa)
+            ends[row + hit, slot] = to[cell]
+        rk = self.base + edge_rank(ends, self.vertices - 1)
+        return self.dom - rk, self.cols - rk
 
 
 # ---------------------------------------------------------------------------
@@ -500,44 +587,75 @@ def _rank_bounds(diag: Diagram, da: GenusData, dg: GenusData) -> tuple[int, int]
     return lo, hi
 
 
+class _Shared:
+    """What the candidates of a seed-0 inference scan share (:func:`_glue_pairs`)."""
+
+    def __init__(self):
+        self.syntheses = {}  # genus -> nu ranks -> WitnessSet
+        self.built = {}  # plan -> hit map
+        self.counted = {}  # (nu_r, rho_r) plans -> self-check counts
+        self.signatures = {}  # (genus, plans of the unchanged maps) -> id
+        self.bases = {}  # (r, signatures) -> _Contraction, or None
+        self.ranks = {}  # (r, signatures[, plans of the changed maps]) -> (ker, cok)
+
+
 def _glue_pairs(diagrams: dict[int, Diagram], da: GenusData, dg: GenusData, seed: int,
-                shared=None, changed=()):
+                shared: _Shared | None = None, changed=()):
     """(ker, cok) by degree of ``diagrams`` realised with witness seed ``seed``.
 
-    Seed 0 ranks lambda as a graph (:func:`graph_ker_coker`), since its
-    witnesses are coordinate maps, in two parts: the base, the rows of the
-    domain summands whose arrows read no map in ``changed`` (genus, family,
-    degree), and the moving rows, ranked on the base contracted to its
-    components (a split report changes no map: its base is all of lambda).
-    Any other seed ranks by dense elimination of the realised diagram.  The
-    caller has refused what is over MAX_LAMBDA_BYTES (:func:`_check_sizes`).
-    Each piece's witnesses are synthesised once, on first use, and each
-    degree is ranked on first use.
+    Seed 0 ranks lambda as a graph, since its witnesses are coordinate
+    maps; any other seed by dense elimination of the realised diagram.
+    The caller has refused what is over MAX_LAMBDA_BYTES
+    (:func:`_check_sizes`).  Each piece's witnesses are synthesised once,
+    on first use, and each degree is ranked on first use.
 
-    ``shared`` holds five dicts, fresh unless a seed-0 inference scan
-    passes the same ones to all its candidates so that they share work:
-    witness sets by genus and nu ranks, so a piece no candidate changes is
-    synthesised once (every bundle :func:`canonical_data` and
-    :func:`_with_nu_ranks` make has the mu, rho, h and n of its genus, so
-    these fix its synthesis, and the key hashes no profile); the hit map
-    of each plan, so a candidate makes only the maps whose plans no
-    earlier one had; the self-check's counts by plans; (ker, cok) by degree
-    and the plans of the maps lambda_r reads, which with ``diagrams[r]`` fix
-    it at seed 0; and the roots of each base by degree and the plans of the
-    maps it reads (None for a moving arrow).  So each degree is ranked once
-    per distinct set of maps, its base once per scan if ``changed`` names
-    every map a candidate changes (one left out costs only sharing).
+    ``shared`` is fresh unless a seed-0 inference scan passes the same one
+    to all its candidates, so that they share work:
+
+    * witness sets by genus and nu ranks: a piece no candidate changes is
+      synthesised once, and every other synthesis of a genus is made
+      ``like`` the first (every bundle :func:`canonical_data` and
+      :func:`_with_nu_ranks` make has the mu, rho, h and n of its genus),
+      so it makes only the plans of the maps its nu ranks change, their
+      hit maps only where no earlier candidate had the plan, and its
+      self-check counts only new (nu_r, rho_r) pairs of plans;
+    * a signature of each piece's witnesses: its genus and the plans of
+      every map not in ``changed`` (genus, family, degree);
+    * by degree and signatures, the :class:`_Contraction` of lambda_r, made
+      once per scan and degree, or None where lambda_r reads no changed map;
+    * (ker, cok) by degree, signatures and the plans of the changed maps
+      lambda_r reads, which fix lambda_r at seed 0.
+
+    So a candidate's ranking reads only the maps it changes: a degree that
+    reads none is ranked whole, once per scan, and keeps no roots, as does
+    every degree of a split report.  A changed map left out of ``changed``
+    lies in the signature, so it costs sharing, never a wrong rank.
     """
-    syntheses, built, counted, ranks, bases = shared or ({}, {}, {}, {}, {})
+    shared = _Shared() if shared is None else shared
 
     @lru_cache(maxsize=None)
     def witnesses() -> tuple[WitnessSet, WitnessSet]:
         out = []
         for data in (da, dg):
-            key = (data.genus, tuple(p.rank for p in data.nu))
-            if key not in syntheses:
-                syntheses[key] = synthesize_witnesses(data, seed, built=built, counted=counted)
-            out.append(syntheses[key])
+            made = shared.syntheses.setdefault(data.genus, {})
+            key = tuple(p.rank for p in data.nu)
+            if key not in made:
+                made[key] = synthesize_witnesses(
+                    data, seed, built=shared.built, counted=shared.counted,
+                    like=next(iter(made.values()), None),
+                )
+            out.append(made[key])
+        return tuple(out)
+
+    @lru_cache(maxsize=None)
+    def signatures() -> tuple[int, int]:
+        out = []
+        for w in witnesses():
+            k = w.data.genus
+            fixed = tuple(None if (k, family, d) in changed else plan
+                          for family, plans in zip(("nu", "rho"), w.plans)
+                          for d, plan in enumerate(plans))
+            out.append(shared.signatures.setdefault((k, fixed), len(shared.signatures)))
         return tuple(out)
 
     @lru_cache(maxsize=None)
@@ -545,17 +663,14 @@ def _glue_pairs(diagrams: dict[int, Diagram], da: GenusData, dg: GenusData, seed
         if seed != 0:
             return ker_coker(realize(diagrams[r], *witnesses()))
         diag, w = diagrams[r], witnesses()
-        arrows = [(src, w[e.side == "B"].plans[e.family == "rho"][e.degree],
-                   (w[e.side == "B"].data.genus, e.family, e.degree) in changed)
-                  for (src, _), e in diag.edges.items()]
-        key = (r, *(plan for _, plan, _ in arrows))
-        if key not in ranks:
-            moving = {src for src, _, moves in arrows if moves}
-            fixed = (r, *(None if src in moving else plan for src, plan, _ in arrows))
-            if fixed not in bases:
-                bases[fixed] = edge_roots(*lambda_edges(diag, *w, set(diag.summands) - moving))
-            ranks[key] = graph_ker_coker(diag, *w, moving, bases[fixed])
-        return ranks[key]
+        fixed = (r, *signatures())
+        if fixed not in shared.bases:
+            shared.bases[fixed] = _Contraction.of(diag, *w, changed)
+        base = shared.bases[fixed]
+        key = fixed if base is None else (fixed, *base.plans(*w))
+        if key not in shared.ranks:
+            shared.ranks[key] = graph_ker_coker(diag, *w) if base is None else base.ker_coker(diag, *w)
+        return shared.ranks[key]
 
     return pair
 
@@ -701,8 +816,9 @@ def infer_nu_ranks(
     |ker lambda_{r-1}| at the glue degrees (by default all, 1..6(a+g)-3)
     in order, stopping at the first where exactly one combination passes.
     Candidates share ranks: lambda_r is ranked once for each distinct set
-    of witness maps it reads, and its rows that read no map an unknown
-    changes (nu_s and rho_{s+2}) once per scan (see :func:`_glue_pairs`).
+    of witness maps it reads, its rows that read no map an unknown changes
+    (nu_s and rho_{s+2}) are contracted once per scan, and a candidate
+    plans and ranks only the maps it changes (see :func:`_glue_pairs`).
     """
     top = 6 * (a + g) - 3
     degrees = range(1, top + 1) if degrees is None else list(degrees)
@@ -722,7 +838,7 @@ def infer_nu_ranks(
     diagrams = {r: build_split(r, a, g) for r in sorted({*degrees, *(r - 1 for r in degrees)})}
     _check_sizes(diagrams, a, g, (0,))
 
-    bundles, shared = [], ({}, {}, {}, {}, {})
+    bundles, shared = [], _Shared()
     changed = {(u.genus, *m) for u in unknowns for m in (("nu", u.degree), ("rho", u.degree + 2))}
     for ranks in product(*choices):
         rank = ranks[0] if len(ranks) == 1 else ranks

@@ -327,6 +327,36 @@ def test_rows_inside_fixed_components_contract_to_self_loops(fixed, cols, seed):
     check_contraction(f, v, cols)
 
 
+@given(st.integers(0, 60), st.integers(0, 40), st.integers(0, 130), st.integers(0, 2**32 - 1))
+@settings(max_examples=60)
+def test_compacted_contracted_rank_is_the_edge_rank(fixed, moving, cols, seed):
+    """r(F + V) = r(F) + the rank of V's contracted ends on only the roots
+    they touch, renumbered 0..k-1; with ground ends, self-loops and an empty V."""
+    rng = np.random.default_rng(seed)
+    f = rng.integers(0, cols + 1, size=(fixed, 2))
+    f[: fixed // 4, 1] = cols  # rows with one 1: an end at the ground vertex
+    v = rng.integers(0, cols + 1, size=(moving, 2))
+    v[: moving // 4, 0] = cols
+    v[moving // 4 : moving // 2, 1] = v[moving // 4 : moving // 2, 0]  # self-loops: zero rows
+    roots = f2la.edge_roots(f, cols)
+    for part in (v, v[:0]):
+        labels, k = f2la.compact_labels(roots[part])
+        assert labels.shape == part.shape and k == len(set(roots[part].ravel().tolist()))
+        # the renumbering keeps the order of the roots, so it is one to one
+        assert np.array_equal(np.argsort(labels.ravel(), kind="stable"),
+                              np.argsort(roots[part].ravel(), kind="stable"))
+        both = np.concatenate([f, part])
+        assert f2la.edge_rank(f, cols) + f2la.edge_rank(labels, k - 1) == f2la.edge_rank(both, cols)
+
+
+def test_compact_labels_of_nothing_and_of_one_value():
+    labels, k = f2la.compact_labels(np.zeros((0, 2), dtype=np.int64))
+    assert (labels.shape, k) == ((0, 2), 0)
+    assert f2la.edge_rank(labels, k - 1) == 0  # an empty graph on no vertices
+    labels, k = f2la.compact_labels(np.array([[7, 7], [7, 7]]))
+    assert labels.tolist() == [[0, 0], [0, 0]] and k == 1
+
+
 def test_edge_roots_label_each_component_by_one_vertex():
     # columns 0..5, ground 6: {0, 2, 6} joined (2 -> ground), {1, 3}, 4 and 5 alone
     roots = f2la.edge_roots(np.array([[2, 0], [3, 1], [2, 6]]), 6)

@@ -31,6 +31,8 @@ GOLDEN = [
     ("infer_2+2_nu_5^2.json", "infer --split 2+2 --unknown nu_5^2 --format json", 0),
     # a full 21-degree scan on a hypothesis genus: no degree pins nu_9^3
     ("infer_1+3_nu_9^3.json", "infer --split 1+3 --unknown nu_9^3 --format json", 0),
+    # a full 33-degree scan on a genus-5 hypothesis bundle: no degree pins nu_14^5
+    ("infer_1+5_nu_14^5.json", "infer --split 1+5 --unknown nu_14^5 --format json", 0),
     ("verify_6.json", "verify --max-genus 6 --format json", 0),
     # the benchmark's verify-deep command
     ("verify_40.json", "verify --max-genus 40 --format json", 0),

@@ -1,3 +1,4 @@
+from copy import copy
 from dataclasses import replace
 from itertools import product
 
@@ -538,18 +539,17 @@ def test_shared_ranks_tell_every_map_apart(a, g, family):
         tampered = {**wits, 2: replace(
             wits[2], plans=tuple(map(tuple, plans)), **{f"{family}_hits": tuple(maps)}
         )}
-        # the two share hits, counts, ranks and bases; the tampered one finds
-        # its genus-2 witnesses where _glue_pairs keys a synthesis, by genus
-        # and nu ranks
-        key = (2, tuple(p.rank for p in data[2].nu))
+        # the two share hits, counts, signatures, bases and ranks; the
+        # tampered one finds its genus-2 witnesses where _glue_pairs keys a
+        # synthesis, by genus and nu ranks
+        ranks = tuple(p.rank for p in data[2].nu)
         for changed in ((), {(2, family, k)}):
-            built, counted, ranks, bases = {}, {}, {}, {}
-            pairs = mv._glue_pairs(
-                diagrams, data[a], data[g], 0, ({}, built, counted, ranks, bases), changed=changed
-            )
+            shared = mv._Shared()
+            pairs = mv._glue_pairs(diagrams, data[a], data[g], 0, shared, changed=changed)
+            tampered_shared = copy(shared)
+            tampered_shared.syntheses = {2: {ranks: tampered[2]}}
             tampered_pairs = mv._glue_pairs(
-                diagrams, data[a], data[g], 0,
-                ({key: tampered[2]}, built, counted, ranks, bases), changed=changed,
+                diagrams, data[a], data[g], 0, tampered_shared, changed=changed
             )
             for r, diag in diagrams.items():
                 assert pairs(r) == graph_ker_coker(diag, wits[a], wits[g])
@@ -579,6 +579,41 @@ def test_too_few_changed_maps_still_give_the_scan_of_fresh_bundles(monkeypatch, 
     unknowns = {MapRef("nu", 9, 3): None}
     assert infer_nu_ranks(1, 3, unknowns) == _fresh_scan(1, 3, unknowns)
     assert calls and all(c == {(3, "nu", 9), (3, "rho", 11)} for c in calls)
+
+
+EVERY_DEGREE = {
+    "2+2 nu_5^2": (2, 2, {MapRef("nu", 5, 2): None}),
+    "1+3 nu_9^3": (1, 3, {MapRef("nu", 9, 3): None}),
+    # one unknown on each piece
+    "2+3 nu_6^2 nu_8^3": (2, 3, {MapRef("nu", 6, 2): (4, 5), MapRef("nu", 8, 3): None}),
+    # two unknowns on the same genus of a symmetric split
+    "3+3 nu_7^3 nu_10^3": (3, 3, {MapRef("nu", 7, 3): None, MapRef("nu", 10, 3): (5, 6, 7)}),
+}
+
+
+@pytest.mark.parametrize("scan", sorted(EVERY_DEGREE))
+def test_every_candidate_ranks_every_degree_as_a_fresh_synthesis(monkeypatch, scan):
+    """After a scan, each candidate's (ker, cok) at every degree 0..top, not
+    only up to the degree where the scan stops, is that of the whole lambda
+    of a fresh synthesis of its bundle."""
+    import f2moduli.mv as mv
+
+    glue_pairs, made = mv._glue_pairs, []
+
+    def kept(diagrams, da, dg, seed, *args, **kwargs):
+        made.append((da, dg, glue_pairs(diagrams, da, dg, seed, *args, **kwargs)))
+        return made[-1][2]
+
+    monkeypatch.setattr(mv, "_glue_pairs", kept)
+    a, g, unknowns = EVERY_DEGREE[scan]
+    infer_nu_ranks(a, g, unknowns)
+    assert len(made) > 1
+    diagrams = [build_split(r, a, g) for r in range(6 * (a + g) - 2)]
+    for da, dg, pair in made:
+        wa, wb = synthesize_witnesses(da, 0), synthesize_witnesses(dg, 0)
+        for diag in diagrams:
+            want = graph_ker_coker(diag, wa, wb)
+            assert pair(diag.degree) == want, ([p.rank for p in da.nu], [p.rank for p in dg.nu], diag.degree)
 
 
 SCANS = {
@@ -909,28 +944,38 @@ def test_inference_builds_each_degree_once_for_all_candidates(monkeypatch):
 
 
 def _count_rankings(monkeypatch) -> dict:
-    """Record the degree of every lambda each rank engine ranks, of every
-    base whose components the graph engine labels, the rows of lambda it
-    builds, and the rows a ranking of the whole lambda would build."""
+    """Record the degree of every lambda the graph engine ranks whole
+    ("graph") or on a contracted base ("contracted"), of every base it
+    contracts ("base"), of every walk over lambda's arrows ("walks"), and
+    of every lambda the dense engine ranks ("dense"); and the rows of
+    lambda built ("rows") against the rows a ranking of each whole lambda
+    would build ("whole")."""
     import f2moduli.mv as mv
 
-    calls = {"graph": [], "base": [], "dense": [], "rows": 0, "whole": 0}
-    ranking = []  # the diagram graph_ker_coker is ranking, if any
+    calls = {"graph": [], "contracted": [], "base": [], "walks": [], "dense": [], "rows": 0, "whole": 0}
+    contract, contracted_rank = mv._Contraction.of, mv._Contraction.ker_coker
 
-    def graph(diag, wa, wb, *contracted):
+    def graph(diag, wa, wb):
         calls["graph"].append(diag.degree)
         calls["whole"] += diag.domain_dim()
-        ranking.append(diag)
-        try:
-            return graph_ker_coker(diag, wa, wb, *contracted)
-        finally:
-            ranking.pop()
+        return graph_ker_coker(diag, wa, wb)
 
-    def edges(diag, wa, wb, summands=None):
-        ends, cols = lambda_edges(diag, wa, wb, summands)
-        calls["rows"] += len(ends)
-        if not ranking:
+    def of(diag, *args):
+        out = contract(diag, *args)
+        if out is not None:
             calls["base"].append(diag.degree)
+        return out
+
+    def contracted(self, diag, wa, wb):
+        calls["contracted"].append(diag.degree)
+        calls["whole"] += diag.domain_dim()
+        calls["rows"] += len(self.ends)  # the moving rows, of which it makes the changed ends
+        return contracted_rank(self, diag, wa, wb)
+
+    def edges(diag, wa, wb, *args, **kwargs):
+        ends, cols = lambda_edges(diag, wa, wb, *args, **kwargs)
+        calls["walks"].append(diag.degree)
+        calls["rows"] += len(ends)
         return ends, cols
 
     def dense(diag, wa, wb):
@@ -938,6 +983,8 @@ def _count_rankings(monkeypatch) -> dict:
         return realize(diag, wa, wb)
 
     monkeypatch.setattr(mv, "graph_ker_coker", graph)
+    monkeypatch.setattr(mv._Contraction, "of", staticmethod(of))
+    monkeypatch.setattr(mv._Contraction, "ker_coker", contracted)
     monkeypatch.setattr(mv, "lambda_edges", edges)
     monkeypatch.setattr(mv, "realize", dense)
     return calls
@@ -950,13 +997,21 @@ def test_inference_ranks_each_degree_once_per_set_of_maps(monkeypatch):
     feasible = sum(c.status != "infeasible" for c in scan.checks[0].candidates)
     # 23 candidates, all feasible, at 22 degrees: 506 rankings without sharing
     assert (feasible, len(scan.checks)) == (23, 21)
-    assert len(calls["graph"]) <= 152
-    assert set(calls["graph"]) == set(range(22))
-    # the rows that read neither nu_9^3 nor rho_11^3 are labelled once per degree,
-    # and each ranking builds only the rest
-    assert sorted(calls["base"]) == list(range(22))
+    rankings = calls["graph"] + calls["contracted"]
+    assert len(rankings) <= 152
+    assert set(rankings) == set(range(22))
+    # one base per degree and scan: a degree whose lambda reads neither
+    # nu_9^3 nor rho_11^3 is ranked whole, once; the others are contracted
+    # once, on the rows that read neither
+    reads = {r for r in range(22) for e in build_split(r, 1, 3).edges.values()
+             if (e.side, e.family, e.degree) in {("B", "nu", 9), ("B", "rho", 11)}}
+    assert sorted(calls["graph"] + calls["base"]) == list(range(22))
+    assert sorted(calls["base"]) == sorted(reads) == sorted(set(calls["contracted"]))
+    # only those walk lambda's arrows: twice to contract (the base, then the
+    # moving rows' unchanged ends), once to rank whole; a candidate walks none
+    assert sorted(calls["walks"]) == sorted(calls["graph"] + 2 * calls["base"])
     # ranking each whole lambda, as the engine once did, builds 15,061 rows
-    # over 152 rankings; 4,788 were built when this was written
+    # over 152 rankings; 4,788 were built when each ranking built its moving rows
     assert calls["rows"] < calls["whole"] <= 15061
     assert calls["dense"] == []
     # the genus-1 piece is the same bundle for every candidate
@@ -968,12 +1023,38 @@ def test_split_report_ranks_each_degree_once_per_seed(monkeypatch):
     syntheses = _count_syntheses(monkeypatch)
     split_report(2, 2, (0, 1))
     assert sorted(calls["graph"]) == list(range(22))
-    # no map moves: each base is the whole lambda, and its ranking builds no row
-    assert sorted(calls["base"]) == list(range(22))
+    # no map moves: no base, and each lambda is ranked whole in one walk
+    assert calls["base"] == calls["contracted"] == []
+    assert sorted(calls["walks"]) == list(range(22))
     assert calls["rows"] == calls["whole"]
     assert sorted(calls["dense"]) == list(range(22))
     # both pieces are the one cached genus-2 bundle: one synthesis per seed
     assert sorted(syntheses) == [(2, 0), (2, 1)]
+
+
+def test_a_candidate_plans_only_the_maps_it_changes(monkeypatch):
+    """The first synthesis of each genus plans every nu_r and rho_r; every
+    later candidate plans only nu_9^3 and rho_11^3, and its self-check
+    still compares every degree."""
+    import f2moduli._witness as witness
+
+    plans, checked = [], []
+    for family in ("nu", "rho"):
+        made = getattr(witness, f"_{family}_plan")
+
+        def counted(data, r, made=made, family=family):
+            plans.append((data.genus, family, r))
+            return made(data, r)
+
+        monkeypatch.setattr(witness, f"_{family}_plan", counted)
+    check = witness.WitnessSet.check
+    monkeypatch.setattr(witness.WitnessSet, "check", lambda ws, counted=None: (
+        checked.append(len(ws.plans[0])) or check(ws, counted)))
+    scan = infer_nu_ranks(1, 3, {MapRef("nu", 9, 3): None})
+    assert len(scan.checks[0].candidates) == 23
+    every = lambda g: [(g, f, r) for r in range(6 * g + 1) for f in ("nu", "rho")]  # noqa: E731
+    assert sorted(plans) == sorted(every(1) + every(3) + [(3, "nu", 9), (3, "rho", 11)] * 22)
+    assert checked == [7] + [19] * 23
 
 
 def test_size_limit_admits_3_plus_4(monkeypatch):
