@@ -61,16 +61,17 @@ class BettiTable:
             raise ValidationError(f"field must be one of {FIELDS}, got {self.field!r}")
         if self.space not in SPACES:
             raise ValidationError(f"space must be one of {SPACES}, got {self.space!r}")
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+        values = tuple(map(int, self.values))
+        object.__setattr__(self, "values", values)
         want = table_length(self.space, self.genus)
-        if len(self.values) != want:
+        if len(values) != want:
             raise ValidationError(
                 f"{self.space} table for genus {self.genus} needs {want} entries, "
-                f"got {len(self.values)}"
+                f"got {len(values)}"
             )
-        for r, v in enumerate(self.values):
-            if v < 0:
-                raise ValidationError(f"negative entry {v} at degree {r}")
+        if min(values) < 0:
+            r = next(r for r, v in enumerate(values) if v < 0)
+            raise ValidationError(f"negative entry {values[r]} at degree {r}")
 
     def __getitem__(self, r: int) -> int:
         """Entry at degree ``r``; degrees outside the table are zero."""
@@ -86,15 +87,11 @@ class BettiTable:
         """
         return iter(self.values)
 
-    @property
-    def top_degree(self) -> int:
-        return len(self.values) - 1
-
     def total(self) -> int:
         return sum(self.values)
 
     def euler_characteristic(self) -> int:
-        return sum(v if r % 2 == 0 else -v for r, v in enumerate(self.values))
+        return sum(self.values[::2]) - sum(self.values[1::2])
 
     def half(self) -> tuple[int, ...]:
         """First half of a framed table; the rest is dual to it."""
@@ -107,8 +104,7 @@ class BettiTable:
         problems = []
         if self.space != "framed":
             return problems
-        n = self.top_degree
-        if any(self.values[r] != self.values[n - r] for r in range(n + 1)):
+        if self.values != self.values[::-1]:
             problems.append("poincare-duality")
         if self.euler_characteristic() != 0:
             problems.append("euler-characteristic")
@@ -129,7 +125,7 @@ def m_coeff(g: int, r: int) -> int:
 
     This is the degree-r Betti number of the 2g-torus replacement
     SU(2)^(2g): binomial(2g, r/3) when 3 divides r and 0 <= r <= 6g,
-    otherwise zero.
+    otherwise zero.  :func:`m_row` gives every degree at once.
     """
     if g < 1:
         raise ValidationError(f"genus must be >= 1, got {g}")
@@ -138,22 +134,37 @@ def m_coeff(g: int, r: int) -> int:
     return comb(2 * g, r // 3)
 
 
-def _rhs_lower(h: BettiTable, g: int, r: int) -> int:
-    # recursion term used below the middle band and, with a shift, above it
-    return h[r - 2] + 2 * h[r - 3] + h[r - 4] + m_coeff(g, r) - m_coeff(g, r - 4)
+def m_row(g: int) -> list[int]:
+    """``m_coeff(g, r)`` for r = 0..6g, from one pass of the recurrence
+    binomial(2g, k+1) = binomial(2g, k) * (2g - k) / (k + 1)."""
+    if g < 1:
+        raise ValidationError(f"genus must be >= 1, got {g}")
+    row = [0] * (6 * g + 1)
+    c = 1
+    for k in range(2 * g + 1):
+        row[3 * k] = c
+        c = c * (2 * g - k) // (k + 1)
+    return row
 
 
-def _band(h: BettiTable, g: int, r: int) -> tuple[str, int]:
-    """Band of degree r in the genus g+1 table, and its recursion value from h.
+def _next_row(h: tuple[int, ...], g: int) -> tuple[list[int], list[int]]:
+    """The genus g+1 recursion from the genus-g entries ``h``: (row, lower).
 
-    The lower band runs to degree 3g-1, the middle band 3g..3g+3 is
-    constant, and the upper band starts at 3g+4.
+    ``row`` holds the three bands at degrees 0..6g+3: the lower band
+    h[r-2] + 2h[r-3] + h[r-4] + m_r - m_{r-4} through degree 3g-1, the
+    constant middle band 4h[3g] + m_{3g} - m_{3g-3} on 3g..3g+3, and the
+    upper band h[r-2] + 2h[r-3] + h[r-4] + m_{r-3} - m_{r+1} from 3g+4.
+    ``lower`` is the lower-band formula at degrees 0..3g+1, which the
+    rational recursion reads past the mod-2 lower band.
     """
-    if r <= 3 * g - 1:
-        return "lower", _rhs_lower(h, g, r)
-    if r <= 3 * g + 3:
-        return "middle", 4 * h[3 * g] + m_coeff(g, 3 * g) - m_coeff(g, 3 * g - 3)
-    return "upper", h[r - 2] + 2 * h[r - 3] + h[r - 4] + m_coeff(g, r - 3) - m_coeff(g, r + 1)
+    z = (0, 0, 0, 0)
+    p = z + h + z  # p[r + 4] = h[r], zero off the table
+    s = [a + 2 * b + c for a, b, c in zip(p[2:], p[1:], p)]  # r = 0..6g+3
+    m = [0, 0, 0, 0, *m_row(g), 0, 0, 0, 0]  # m[r + 4] = m_r, r = -4..6g+4
+    lower = [v + a - b for v, a, b in zip(s[: 3 * g + 2], m[4:], m)]
+    middle = 4 * h[3 * g] + m[3 * g + 4] - m[3 * g + 1]
+    upper = [v + a - b for v, a, b in zip(s[3 * g + 4:], m[3 * g + 5:], m[3 * g + 9:])]
+    return [*lower[: 3 * g], middle, middle, middle, middle, *upper], lower
 
 
 @lru_cache(maxsize=None)
@@ -161,7 +172,7 @@ def mod2_table(g: int) -> BettiTable:
     """Framed Betti numbers over the two-element field, genus ``g``.
 
     Base case: the genus-1 framed space is SO(3), table (1, 1, 1, 1).
-    Each further genus applies the three-band recursion (:func:`_band`)
+    Each further genus applies the three-band recursion (:func:`_next_row`)
     to the table of the previous genus.
     """
     if g < 1:
@@ -170,9 +181,8 @@ def mod2_table(g: int) -> BettiTable:
         return BettiTable(1, "F2", (1, 1, 1, 1))
     for k in range(2, g):  # bottom-up, so that the call depth stays constant
         mod2_table(k)
-    prev = mod2_table(g - 1)
-    values = tuple(_band(prev, g - 1, r)[1] for r in range(6 * g - 2))
-    table = BettiTable(g, "F2", values)
+    row, _ = _next_row(mod2_table(g - 1).values, g - 1)
+    table = BettiTable(g, "F2", row)
     if table.check():
         raise ValidationError(f"mod-2 recursion produced an invalid table: {table.check()}")
     return table
@@ -192,16 +202,8 @@ def rational_table(g: int) -> BettiTable:
         return BettiTable(1, "Q", (1, 0, 0, 1))
     for k in range(2, g):  # bottom-up, so that the call depth stays constant
         rational_table(k)
-    prev = rational_table(g - 1)
-    pg = g - 1
-    n = 6 * g - 3
-    values = [0] * (n + 1)
-    for r in range(n + 1):
-        if r <= 3 * pg + 1:
-            values[r] = _rhs_lower(prev, pg, r)
-    for r in range(3 * pg + 2, n + 1):
-        values[r] = values[n - r]
-    table = BettiTable(g, "Q", tuple(values))
+    _, lower = _next_row(rational_table(g - 1).values, g - 1)
+    table = BettiTable(g, "Q", (*lower, *reversed(lower)))
     if table.check():
         raise ValidationError(f"rational recursion produced an invalid table: {table.check()}")
     return table
@@ -260,24 +262,21 @@ def verify_theorem(g: int, candidate: BettiTable) -> TheoremReport:
         raise ValidationError(
             f"candidate has genus {candidate.genus}, expected {g + 1}"
         )
-    h = mod2_table(g)
-    c = candidate
-    items: list[tuple[str, bool, str]] = []
-
-    for r in range(6 * (g + 1) - 2):
-        band, bound = _band(h, g, r)
-        items.append((f"{band}-bound@{r}", c[r] >= bound, f"{c[r]} >= {bound}"))
-
-    for r in range(0, 3 * g):
-        if r % 3 == 2:
-            bound = _rhs_lower(h, g, r)
-            items.append((f"lower-equality@{r}", c[r] == bound, f"{c[r]} == {bound}"))
-
-    for k in range(0, 3 * g):
-        if k % 3 == 1:
-            want = _rhs_lower(h, g, k) - _rhs_lower(h, g, k - 1)
-            got = c[k] - c[k - 1]
-            items.append((f"difference-identity@{k}", got == want, f"{got} == {want}"))
+    row, lower = _next_row(mod2_table(g).values, g)
+    c = candidate.values
+    bands = ["lower"] * (3 * g) + ["middle"] * 4 + ["upper"] * (3 * g)
+    items = [
+        (f"{band}-bound@{r}", v >= bound, f"{v} >= {bound}")
+        for r, (band, v, bound) in enumerate(zip(bands, c, row))
+    ]
+    items += [
+        (f"lower-equality@{r}", c[r] == lower[r], f"{c[r]} == {lower[r]}")
+        for r in range(2, 3 * g, 3)
+    ]
+    for k in range(1, 3 * g, 3):
+        want = lower[k] - lower[k - 1]
+        got = c[k] - c[k - 1]
+        items.append((f"difference-identity@{k}", got == want, f"{got} == {want}"))
 
     items.append(
         (
@@ -287,7 +286,7 @@ def verify_theorem(g: int, candidate: BettiTable) -> TheoremReport:
         )
     )
 
-    problems = set(c.check())
+    problems = set(candidate.check())
     items.append(("poincare-duality", "poincare-duality" not in problems, "table is self-dual"))
     items.append(
         ("euler-characteristic", "euler-characteristic" not in problems, "alternating sum is 0")

@@ -28,7 +28,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import reference
-from .betti import BettiTable, m_coeff, mod2_table
+from .betti import BettiTable, m_row, mod2_table
 from .errors import ValidationError
 
 __all__ = [
@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MapProfile:
     """Shape and rank of a linear map: rank ``rank`` from F^dom to F^cod."""
 
@@ -57,9 +57,9 @@ class MapProfile:
     cod: int
 
     def __post_init__(self):
-        if min(self.rank, self.dom, self.cod) < 0:
+        if self.rank < 0 or self.dom < 0 or self.cod < 0:
             raise ValidationError(f"negative entry in profile {self}")
-        if self.rank > min(self.dom, self.cod):
+        if self.rank > self.dom or self.rank > self.cod:
             raise ValidationError(
                 f"rank {self.rank} exceeds min({self.dom}, {self.cod})"
             )
@@ -124,13 +124,12 @@ def nplus_betti(g: int) -> BettiTable:
     Below the middle (r <= 3g+1) the value is h[r-2] + m_r; above it the
     value is h[r-2] - m_{r+1}.  The two branches agree at r = 3g+1.
     """
-    h = mod2_table(g)
-    values = []
-    for r in range(6 * g + 1):
-        v = h[r - 2] + m_coeff(g, r) if r <= 3 * g + 1 else h[r - 2] - m_coeff(g, r + 1)
-        if v < 0:
-            raise ValidationError(f"half-space formula went negative for genus {g}")
-        values.append(v)
+    h2 = (0, 0, *mod2_table(g).values, 0)  # h2[r] = h[r-2], r = 0..6g
+    m = m_row(g)
+    values = [v + a for v, a in zip(h2[: 3 * g + 2], m)]
+    values += [v - a for v, a in zip(h2[3 * g + 2:], m[3 * g + 3:] + [0])]
+    if min(values) < 0:
+        raise ValidationError(f"half-space formula went negative for genus {g}")
     return BettiTable(g, "F2", tuple(values), space="plus")
 
 
@@ -140,14 +139,11 @@ def nhat_betti(g: int) -> BettiTable:
     h[r-1] - m_{r-1} for r <= 3g-1 and h[r-1] + m_r above; equivalently
     the reverse of :func:`nplus_betti` by Lefschetz duality.
     """
-    h = mod2_table(g)
-    values = []
-    for r in range(6 * g + 1):
-        if r <= 3 * g - 1:
-            values.append(h[r - 1] - m_coeff(g, r - 1))
-        else:
-            values.append(h[r - 1] + m_coeff(g, r))
-    if any(v < 0 for v in values):
+    h1 = (0, *mod2_table(g).values, 0, 0)  # h1[r] = h[r-1], r = 0..6g
+    m = m_row(g)
+    values = [v - a for v, a in zip(h1[: 3 * g], [0] + m)]
+    values += [v + a for v, a in zip(h1[3 * g:], m[3 * g:])]
+    if min(values) < 0:
         raise ValidationError(f"relative formula went negative for genus {g}")
     return BettiTable(g, "F2", tuple(values), space="relative")
 
@@ -161,17 +157,21 @@ def boundary_profiles(g: int) -> tuple[tuple[MapProfile, ...], tuple[MapProfile,
     up to degree 3g+1, surjective from 3g+1 on (an isomorphism exactly
     where both hold).
     """
-    h, nplus = mod2_table(g), nplus_betti(g)
-    mu, rho = [], []
-    for r in range(6 * g + 1):
-        kernel = h[r] - m_coeff(g, r) if r < 3 * g else h[r] + m_coeff(g, r + 1)
-        if kernel < 0:
-            raise ValidationError(f"mu kernel formula went negative at degree {r}")
-        dom = h[r] + h[r - 2]
-        mu.append(MapProfile(rank=dom - kernel, dom=dom, cod=nplus[r]))
-        rank = h[r - 2] if r <= 3 * g + 1 else nplus[r]
-        rho.append(MapProfile(rank=rank, dom=h[r - 2], cod=nplus[r]))
-    return tuple(mu), tuple(rho)
+    values, nplus = mod2_table(g).values, nplus_betti(g).values
+    h = (*values, 0, 0, 0)  # h[r], r = 0..6g
+    h2 = (0, 0, *values, 0)  # h[r-2]
+    m = m_row(g)
+    kernels = [v - a for v, a in zip(h[: 3 * g], m)]
+    kernels += [v + a for v, a in zip(h[3 * g:], m[3 * g + 1:] + [0])]
+    if min(kernels) < 0:
+        r = next(r for r, k in enumerate(kernels) if k < 0)
+        raise ValidationError(f"mu kernel formula went negative at degree {r}")
+    mu = tuple(
+        MapProfile(a + b - k, a + b, n) for a, b, k, n in zip(h, h2, kernels, nplus)
+    )
+    rho = (*(MapProfile(b, b, n) for b, n in zip(h2[: 3 * g + 2], nplus)),
+           *(MapProfile(n, b, n) for b, n in zip(h2[3 * g + 2:], nplus[3 * g + 2:])))
+    return mu, rho
 
 
 # ---------------------------------------------------------------------------

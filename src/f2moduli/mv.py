@@ -311,21 +311,25 @@ def lambda_edges(diag: Diagram, wa: WitnessSet, wb: WitnessSet,
     of lambda has at most two 1s.  Returns the ends, in the form
     :func:`~f2moduli.f2la.edge_rank` takes, and the number of columns; the
     ground vertex ``cols`` stands in for a missing end, and an arrow
-    (src, dst) in ``skip`` is left out.  A row's ends fill its two slots
-    in the order of ``diag.edges``.  Raises ShapeError where a row would
-    get a third end, a witness row is not one column, or an arrow has the
-    wrong shape.
+    (src, dst) in ``skip`` is left out.  Each arrow has one slot for all
+    the rows of its summand: the summand's first arrow in the order of
+    ``diag.edges`` slot 0, its second slot 1; a row the first misses
+    keeps the ground in slot 0, which the rank does not see.  Raises
+    ShapeError where a summand has a third arrow, a witness row is not
+    one column, or an arrow has the wrong shape.
     """
     rows_at, cols_at, rows, cols = _offsets(diag, summands)
     # an end still at ``cols`` is an empty slot: every real end is below it
     ends = np.full((rows, 2), cols, dtype=np.int64)
+    placed = dict.fromkeys(rows_at, 0)  # arrows written so far, per domain summand
     for (src, dst), spec in diag.edges.items():
         if src not in rows_at or (src, dst) in skip:
             continue
         hit, cell = _arrow_hits(diag, src, dst, spec, wa if spec.side == "A" else wb)
-        slot = (ends[rows_at[src] + hit] != cols).sum(axis=1)
-        if hit.size and slot.max() > 1:
+        slot = placed[src]
+        if slot > 1:
             raise ShapeError(f"edge {src}->{dst} gives a row of lambda a third 1")
+        placed[src] = slot + 1
         ends[rows_at[src] + hit, slot] = cols_at[dst] + cell
     return ends, cols
 
@@ -375,8 +379,9 @@ class _Contraction:
         roots = edge_roots(*lambda_edges(diag, wa, wb, set(diag.summands) - moving))
         skip = {(src, dst) for src, dst, _ in moves}
         ends, cols = lambda_edges(diag, wa, wb, moving, skip)
-        # a moving row's unchanged end, if any, is in slot 0; the changed
-        # ends, which each candidate makes itself, take the slots after it
+        # a moving summand's unchanged arrow, if any, has slot 0, as
+        # lambda_edges numbers the arrows it writes per summand; the changed
+        # arrows, whose ends each candidate makes itself, take the slots after it
         used = {src: 0 for src in moving}
         for src, _ in diag.edges.keys() - skip:
             if src in moving:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from . import reference
 from .betti import (
     BettiTable,
-    m_coeff,
+    m_row,
     middle_closed_form,
     mod2_table,
     rational_table,
@@ -130,9 +130,8 @@ def run_checks(max_genus: int) -> tuple[list[tuple[str, bool, str]], list[str]]:
 
     ok = True
     for g in range(2, top + 1):
-        h = mod2_table(g)
         want = middle_closed_form(g)
-        if any(h[r] != want for r in range(3 * g - 3, 3 * g + 1)):
+        if any(v != want for v in mod2_table(g).values[3 * g - 3: 3 * g + 1]):
             ok = False
             break
     checks.append(("middle-closed-form", ok, f"four middle degrees, g=2..{top}"))
@@ -149,21 +148,20 @@ def run_checks(max_genus: int) -> tuple[list[tuple[str, bool, str]], list[str]]:
 
     ok = True
     for g in range(2, top + 1):
-        f2, q = mod2_table(g), rational_table(g)
-        if any(f2[r] != q[r] for r in range(2 * g - 1)) or f2[2 * g - 1] != q[2 * g - 1] + 1:
+        f2, q = mod2_table(g).values, rational_table(g).values
+        if f2[: 2 * g - 1] != q[: 2 * g - 1] or f2[2 * g - 1] != q[2 * g - 1] + 1:
             ok = False
             break
     checks.append(("field-comparison", ok, f"agree below 2g-1, +1 at 2g-1, g=2..{top}"))
 
     ok = True
     for g in range(1, top + 1):
-        rel = nhat_betti(g)
-        mu, rho = boundary_profiles(g)
-        for r in range(6 * g + 1):
-            ker = mu[r - 1].kernel if r >= 1 else 0
-            rker = rho[r - 1].kernel if r >= 1 else 0
-            if mu[r].cokernel + ker != rel[r] or rho[r].cokernel + rker != m_coeff(g, r):
+        # coker mu_r + ker mu_{r-1} = nhat_r and coker rho_r + ker rho_{r-1} = m_r
+        ker = rker = 0
+        for a, b, rel, m in zip(*boundary_profiles(g), nhat_betti(g).values, m_row(g)):
+            if a.cod - a.rank + ker != rel or b.cod - b.rank + rker != m:
                 ok = False
+            ker, rker = a.dom - a.rank, b.dom - b.rank
     checks.append(("halfspace-bookkeeping", ok, f"mu and rho ladders, g=1..{top}"))
 
     diags = reference_diagnostics()

@@ -201,3 +201,194 @@ def test_tables_build_without_deep_recursion():
         sys.setrecursionlimit(limit)
     assert f2.check() == [] and q.check() == []
     assert f2.values[: 2 * 150 - 1] == q.values[: 2 * 150 - 1]
+
+
+# ---------------------------------------------------------------------------
+# the per-degree formulas, as the reference for the row-at-a-time recursion
+# ---------------------------------------------------------------------------
+
+
+def ref_m(g: int, r: int) -> int:
+    return comb(2 * g, r // 3) if 0 <= r <= 6 * g and r % 3 == 0 else 0
+
+
+def ref_at(h: tuple[int, ...], r: int) -> int:
+    return h[r] if 0 <= r < len(h) else 0
+
+
+def ref_lower(h, g, r):
+    return ref_at(h, r - 2) + 2 * ref_at(h, r - 3) + ref_at(h, r - 4) + ref_m(g, r) - ref_m(g, r - 4)
+
+
+def ref_band(h, g, r):
+    """Band of degree r in the genus g+1 table and its value, one degree at a time."""
+    if r <= 3 * g - 1:
+        return "lower", ref_lower(h, g, r)
+    if r <= 3 * g + 3:
+        return "middle", 4 * ref_at(h, 3 * g) + ref_m(g, 3 * g) - ref_m(g, 3 * g - 3)
+    rest = ref_at(h, r - 2) + 2 * ref_at(h, r - 3) + ref_at(h, r - 4)
+    return "upper", rest + ref_m(g, r - 3) - ref_m(g, r + 1)
+
+
+REF_TOP = 60
+
+
+def ref_tables() -> tuple[dict, dict]:
+    """Mod-2 and rational framed tables for genus 1..REF_TOP, degree by degree."""
+    f2, q = {1: (1, 1, 1, 1)}, {1: (1, 0, 0, 1)}
+    for g in range(2, REF_TOP + 1):
+        pg, n = g - 1, 6 * g - 3
+        f2[g] = tuple(ref_band(f2[pg], pg, r)[1] for r in range(n + 1))
+        values = [0] * (n + 1)
+        for r in range(3 * pg + 2):
+            values[r] = ref_lower(q[pg], pg, r)
+        for r in range(3 * pg + 2, n + 1):
+            values[r] = values[n - r]
+        q[g] = tuple(values)
+    return f2, q
+
+
+REF_F2, REF_Q = ref_tables()
+
+
+def ref_check(t: BettiTable) -> list[str]:
+    problems = []
+    if t.space != "framed":
+        return problems
+    v, n = t.values, len(t.values) - 1
+    if any(v[r] != v[n - r] for r in range(n + 1)):
+        problems.append("poincare-duality")
+    if sum(x if r % 2 == 0 else -x for r, x in enumerate(v)) != 0:
+        problems.append("euler-characteristic")
+    if v[0] != 1:
+        problems.append("connectedness")
+    if t.genus >= 2 and v[1] != 0:
+        problems.append("simple-connectivity")
+    return problems
+
+
+def ref_verify(g: int, c: BettiTable) -> list[tuple[str, bool, str]]:
+    h, v = REF_F2[g], c.values
+    items = []
+    for r in range(6 * (g + 1) - 2):
+        band, bound = ref_band(h, g, r)
+        items.append((f"{band}-bound@{r}", v[r] >= bound, f"{v[r]} >= {bound}"))
+    for r in range(0, 3 * g):
+        if r % 3 == 2:
+            bound = ref_lower(h, g, r)
+            items.append((f"lower-equality@{r}", v[r] == bound, f"{v[r]} == {bound}"))
+    for k in range(0, 3 * g):
+        if k % 3 == 1:
+            want = ref_lower(h, g, k) - ref_lower(h, g, k - 1)
+            got = v[k] - v[k - 1]
+            items.append((f"difference-identity@{k}", got == want, f"{got} == {want}"))
+    a, b = 3 * g + 1, 3 * g
+    items.append((f"plateau@{a}", v[a] == v[b], f"c[{a}]={v[a]} == c[{b}]={v[b]}"))
+    problems = set(ref_check(c))
+    items.append(("poincare-duality", "poincare-duality" not in problems, "table is self-dual"))
+    items.append(
+        ("euler-characteristic", "euler-characteristic" not in problems, "alternating sum is 0")
+    )
+    return items
+
+
+def test_m_row_is_every_m_coeff():
+    for g in range(1, REF_TOP + 1):
+        assert betti.m_row(g) == [ref_m(g, r) for r in range(6 * g + 1)]
+        assert betti.m_row(g) == [m_coeff(g, r) for r in range(6 * g + 1)]
+    for fn in (betti.m_row, lambda g: m_coeff(g, 0)):
+        with pytest.raises(ValidationError, match="^genus must be >= 1, got 0$"):
+            fn(0)
+
+
+def test_tables_match_the_per_degree_recursion():
+    for g in range(1, REF_TOP + 1):
+        assert mod2_table(g).values == REF_F2[g], f"F2 genus {g}"
+        assert rational_table(g).values == REF_Q[g], f"Q genus {g}"
+
+
+def perturbed(t: BettiTable) -> list[BettiTable]:
+    """Candidates one step off ``t``: one entry up or down, or a dual pair up,
+    at degrees in and around each band."""
+    g, n = t.genus, len(t.values) - 1
+    pg = g - 1
+    degrees = sorted({0, 1, 2, 3, 4, 5, 3 * pg - 2, 3 * pg - 1, 3 * pg, 3 * pg + 1,
+                      3 * pg + 2, 3 * pg + 3, 3 * pg + 4, n - 1, n} & set(range(n + 1)))
+    out = []
+    for r in degrees:
+        for delta in (1, -1):
+            v = list(t.values)
+            v[r] += delta
+            if v[r] >= 0:
+                out.append(BettiTable(g, "F2", tuple(v)))
+        v = list(t.values)
+        v[r] += 1
+        v[n - r] += 1
+        out.append(BettiTable(g, "F2", tuple(v)))
+    return out
+
+
+def test_verify_theorem_matches_the_per_degree_verdicts():
+    for g in range(1, 26):
+        for c in [mod2_table(g + 1), *perturbed(mod2_table(g + 1))]:
+            report = betti.verify_theorem(g, c)
+            assert report.genus == g
+            assert list(report.items) == ref_verify(g, c), f"genus {g} candidate {c.values}"
+
+
+def test_table_checks_match_the_per_degree_reference():
+    good = mod2_table(3).values
+    tables = [
+        BettiTable(3, "F2", good),
+        BettiTable(3, "F2", (2, *good[1:])),  # connectedness, duality, Euler
+        BettiTable(3, "F2", (2, *good[1:-1], 2)),  # connectedness alone
+        BettiTable(3, "F2", (1, 1, *good[2:-2], 1, 1)),  # simple connectivity
+        BettiTable(3, "F2", (*good[:5], good[5] + 1, *good[6:])),  # duality and Euler
+        BettiTable(3, "F2", (*good[:5], good[5] + 1, good[6] + 1, *good[7:])),  # duality
+        BettiTable(1, "F2", (1, 1, 1, 1)),
+        BettiTable(1, "Q", (1, 0, 1, 0)),
+        BettiTable(1, "F2", (0, 0, 0, 0)),
+        BettiTable(1, "F2", (1,) * 7, space="plus"),
+        BettiTable(1, "F2", (0, 5, 0, 0, 0, 0, 0), space="relative"),
+    ]
+    for t in tables:
+        assert t.check() == ref_check(t), t
+        assert t.euler_characteristic() == sum(x if r % 2 == 0 else -x for r, x in enumerate(t.values))
+    assert [t.check() for t in tables[1:6]] == [
+        ["poincare-duality", "euler-characteristic", "connectedness"],
+        ["connectedness"],
+        ["simple-connectivity"],
+        ["poincare-duality", "euler-characteristic"],
+        ["poincare-duality"],
+    ]
+
+
+@pytest.mark.parametrize(
+    "values,message",
+    [
+        ((1, -1, 1, 1), "negative entry -1 at degree 1"),
+        ((1, 1, -2, -3), "negative entry -2 at degree 2"),
+        ((-4, 1, 1, 1), "negative entry -4 at degree 0"),
+        (("1", "-5", "2", "1"), "negative entry -5 at degree 1"),
+    ],
+)
+def test_negative_entry_message_names_the_first_negative_degree(values, message):
+    with pytest.raises(ValidationError) as err:
+        BettiTable(1, "F2", values)
+    assert str(err.value) == message
+
+
+def test_table_construction_messages():
+    cases = [
+        ((0, "F2", (1, 1, 1, 1)), "genus must be >= 1, got 0"),
+        ((1, "Z", (1, 1, 1, 1)), "field must be one of ('F2', 'Q'), got 'Z'"),
+        ((1, "F2", (1, 1, 1, 1), "closed"),
+         "space must be one of ('framed', 'plus', 'relative'), got 'closed'"),
+        ((2, "F2", (1, 2, 3)), "framed table for genus 2 needs 10 entries, got 3"),
+        ((1, "F2", (1, -1, 1), "plus"), "plus table for genus 1 needs 7 entries, got 3"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ValidationError) as err:
+            BettiTable(*args)
+        assert str(err.value) == message
+    assert BettiTable(1, "F2", [1.0, True, "1", 1]).values == (1, 1, 1, 1)

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -194,6 +196,105 @@ def test_mu_rank_never_exceeds_sides(g, offset):
     r = offset % (6 * g + 1)
     p = boundary_profiles(g)[0][r]
     assert 0 <= p.rank <= min(p.dom, p.cod)
+
+
+# ---------------------------------------------------------------------------
+# the per-degree formulas, as the reference for the row-at-a-time ladders
+# ---------------------------------------------------------------------------
+
+
+def ref_m(g: int, r: int) -> int:
+    return comb(2 * g, r // 3) if 0 <= r <= 6 * g and r % 3 == 0 else 0
+
+
+def ref_nplus(h: BettiTable, g: int) -> tuple[int, ...]:
+    return tuple(
+        h[r - 2] + ref_m(g, r) if r <= 3 * g + 1 else h[r - 2] - ref_m(g, r + 1)
+        for r in range(6 * g + 1)
+    )
+
+
+def ref_nhat(h: BettiTable, g: int) -> tuple[int, ...]:
+    return tuple(
+        h[r - 1] - ref_m(g, r - 1) if r <= 3 * g - 1 else h[r - 1] + ref_m(g, r)
+        for r in range(6 * g + 1)
+    )
+
+
+def ref_profiles(h: BettiTable, g: int) -> tuple[list, list]:
+    """(rank, dom, cod) of mu_r and rho_r, degree by degree."""
+    nplus = ref_nplus(h, g)
+    mu, rho = [], []
+    for r in range(6 * g + 1):
+        kernel = h[r] - ref_m(g, r) if r < 3 * g else h[r] + ref_m(g, r + 1)
+        dom = h[r] + h[r - 2]
+        mu.append((dom - kernel, dom, nplus[r]))
+        rho.append((h[r - 2] if r <= 3 * g + 1 else nplus[r], h[r - 2], nplus[r]))
+    return mu, rho
+
+
+def test_ladders_match_the_per_degree_formulas():
+    for g in range(1, 61):
+        h = moduli.mod2_table(g)
+        assert nplus_betti(g).values == ref_nplus(h, g), f"n+ genus {g}"
+        assert nhat_betti(g).values == ref_nhat(h, g), f"nhat genus {g}"
+        mu, rho = boundary_profiles(g)
+        ref_mu, ref_rho = ref_profiles(h, g)
+        assert mu == tuple(MapProfile(*p) for p in ref_mu), f"mu genus {g}"
+        assert rho == tuple(MapProfile(*p) for p in ref_rho), f"rho genus {g}"
+
+
+def test_negative_relative_entry_rejected(monkeypatch):
+    # h[0] = 0 makes the relative entry h[0] - m_0 at degree 1 equal -1
+    broken = BettiTable(1, "F2", (0, 0, 1, 1))
+    monkeypatch.setattr(moduli, "mod2_table", lambda g: broken)
+    assert min(ref_nhat(broken, 1)) < 0
+    with pytest.raises(ValidationError) as err:
+        nhat_betti(1)
+    assert str(err.value) == "relative formula went negative for genus 1"
+
+
+def test_negative_mu_kernel_names_the_first_degree(monkeypatch, request):
+    # h[3] = 3 makes the mu kernel h[3] - m_3 at degree 3 equal -1, the
+    # first negative degree, while every half-space entry stays nonnegative
+    values = (1, 0, 1, 3, 5, 5, 5, 5, 1, 1)
+    broken = BettiTable(2, "F2", values)
+    monkeypatch.setattr(moduli, "mod2_table", lambda g: broken)
+    nplus_betti.cache_clear()
+    request.addfinalizer(nplus_betti.cache_clear)
+    assert min(ref_nplus(broken, 2)) >= 0
+    with pytest.raises(ValidationError) as err:
+        boundary_profiles(2)
+    assert str(err.value) == "mu kernel formula went negative at degree 3"
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        ((-1, 2, 5), "negative entry in profile MapProfile(rank=-1, dom=2, cod=5)"),
+        ((0, -2, 5), "negative entry in profile MapProfile(rank=0, dom=-2, cod=5)"),
+        ((0, 2, -5), "negative entry in profile MapProfile(rank=0, dom=2, cod=-5)"),
+        ((3, 2, 5), "rank 3 exceeds min(2, 5)"),
+        ((3, 5, 2), "rank 3 exceeds min(5, 2)"),
+        ((1, 0, 0), "rank 1 exceeds min(0, 0)"),
+    ],
+)
+def test_bad_profile_messages(args, message):
+    with pytest.raises(ValidationError) as err:
+        MapProfile(*args)
+    assert str(err.value) == message
+
+
+def test_profile_is_a_frozen_value():
+    p = MapProfile(rank=2, dom=3, cod=4)
+    assert p == MapProfile(2, 3, 4) and p != MapProfile(2, 4, 3)
+    assert hash(p) == hash(MapProfile(2, 3, 4)) and len({p, MapProfile(2, 3, 4)}) == 1
+    assert repr(p) == "MapProfile(rank=2, dom=3, cod=4)"
+    assert dataclasses.astuple(p) == (2, 3, 4)
+    assert dataclasses.replace(p, rank=3) == MapProfile(3, 3, 4)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.rank = 1
+    assert not hasattr(p, "__dict__")
 
 
 # ---------------------------------------------------------------------------
