@@ -45,6 +45,7 @@ from .f2la import (
     BitMatrix,
     block_assemble,
     compose,
+    gather_rows,
     random_invertible,
     rank,
     rng_for,
@@ -236,10 +237,10 @@ def synthesize_witnesses(
     if seed != 0:
         doms = [random_invertible(data.h[s], rng_for(seed, f"w{g}:dom:{s}")) for s in range(top + 1)]
         cods = [random_invertible(data.nplus[r], rng_for(seed, f"w{g}:cod:{r}")) for r in range(top + 1)]
-        pack = lambda h, r: _coordinate_map(h, data.nplus[r])  # noqa: E731
-        nu_mats = tuple(compose(doms[r], compose(pack(h, r), cods[r])) for r, h in enumerate(nu_hits))
+        # a coordinate map times C_r is a row gather of C_r
+        nu_mats = tuple(compose(doms[r], gather_rows(cods[r], h)) for r, h in enumerate(nu_hits))
         rho_mats = tuple(
-            compose(doms[r - 2], compose(pack(h, r), cods[r])) if r >= 2 else pack(h, r)
+            compose(doms[r - 2], gather_rows(cods[r], h)) if r >= 2 else gather_rows(cods[r], h)
             for r, h in enumerate(rho_hits)
         )
         nu_hits = rho_hits = None

@@ -14,6 +14,7 @@ completed and revealed an inconsistency between independent results.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -471,7 +472,10 @@ def _at_least_one(name: str):
 _genus = _at_least_one("genus")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing does not
+    change it, and every default is immutable, so one serves every call."""
     parser = _Parser(prog="f2moduli", description=__doc__.splitlines()[0])
     fmt = _Parser(add_help=False)
     fmt.add_argument(

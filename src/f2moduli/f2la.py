@@ -14,7 +14,14 @@ combinations (the Four-Russians method).  Its pivots are the leftmost
 columns that the row space allows, and its reduced form is the unique
 reduced echelon form: the row space fixes both, so which rows serve as
 pivots does not matter, and ranks, pivot lists, inverses and synthesized
-witnesses are the same on every run and platform.
+witnesses are the same on every run and platform.  Two loops share each
+strip's basis search (:func:`_strip_basis`).  :func:`rank` runs the one
+that only counts: it retires each strip's basis rows as they stand and
+keeps no pivot or reduced row.  :func:`inverse` runs :func:`_echelon`,
+which keeps the pivot list and writes the reduced rows.
+
+A split diagram's blocks are maps tensored with identities, which
+:func:`kron_assemble` packs into one matrix, a block at a time.
 
 A matrix whose every row has at most two 1s never needs elimination: it
 is the edge-vertex incidence matrix of a graph, and :func:`edge_rank`
@@ -25,6 +32,7 @@ counts its connected components instead (:func:`edge_roots` labels them;
 from __future__ import annotations
 
 import functools
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -41,8 +49,10 @@ __all__ = [
     "edge_roots",
     "compact_labels",
     "compose",
+    "gather_rows",
     "block_assemble",
     "kron",
+    "kron_assemble",
     "inverse",
     "random_invertible",
     "rng_for",
@@ -193,6 +203,64 @@ def _candidates(codes: np.ndarray, live: np.ndarray):
         yield from zip(present.tolist(), rep[present].tolist())
 
 
+def _strip_basis(codes: np.ndarray, live: np.ndarray, k: int) -> tuple[list[int], dict[int, int], int]:
+    """A strip's basis rows, from :func:`_candidates`, while their codes
+    add to the span and up to ``k`` of them; with ``ech``, which maps each
+    pivot bit (a lowest set bit) to the reduced basis code that holds it,
+    and ``piv``, their union."""
+    basis, ech, piv = [], {}, 0
+    for c, i in _candidates(codes, live):
+        t = c & piv
+        while t:
+            lb = t & -t
+            c ^= ech[lb]
+            t ^= lb
+        if c:
+            lb = c & -c
+            for p, e in ech.items():
+                if e & lb:
+                    ech[p] = e ^ c
+            ech[lb] = c
+            piv |= lb
+            basis.append(i)
+            if len(basis) == k:
+                break
+    return basis, ech, piv
+
+
+def _strip_codes(signed: np.ndarray, r: int, c0: int, cols: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The codes of the strip of columns c0.. (eight, or fewer at the end) in
+    the rows from r on that have a bit there, those rows, counted from r,
+    and the strip's width."""
+    w, shift = divmod(c0, WORD)
+    k = min(STRIP, cols - c0)
+    codes = (signed[r:, w] >> shift) & ((1 << k) - 1)
+    live = codes.nonzero()[0]
+    return codes[live], live, k
+
+
+def _table(active: np.ndarray, basis: list[int], shift: int, piv: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every nonzero combination of the basis rows of ``active``, and ``at``:
+    its row ``at[p]`` is the one with the bits ``p`` at the pivots ``piv``
+    of the strip that starts at bit ``shift`` of the first word."""
+    flips, _ = _gray(len(basis))
+    table = np.bitwise_xor.accumulate(active[np.array(basis)[flips]], axis=0)
+    at = np.empty(1 << STRIP, dtype=np.intp)
+    at[(table[:, 0].view(np.int64) >> shift) & piv] = np.arange(len(table))
+    return table, at
+
+
+def _retire(active: np.ndarray, basis: list[int]) -> None:
+    """Make the first len(basis) slots of ``active`` the basis rows' own:
+    each other row there moves to the slot of a basis row below them, so
+    the rows still to eliminate follow the slots."""
+    m = len(basis)
+    below = [i for i in basis if i >= m]
+    if below:
+        for i, j in zip(below, [i for i in range(m) if i not in basis]):
+            active[i] = active[j]
+
+
 def _echelon(bits: np.ndarray, rows: int, cols: int, reduced: bool = False):
     """In-place row echelon form, eight columns at a time.
 
@@ -204,11 +272,12 @@ def _echelon(bits: np.ndarray, rows: int, cols: int, reduced: bool = False):
     row's bits there read as a code below 256.  The rows below the pivots
     found so far (the active rows) are zero left of the strip.  One active
     row per distinct code, taken in order until the codes' span is full,
-    gives the strip's pivots and a basis of m rows.  A table of all 2^m
-    combinations of the basis rows then clears the strip from every active
-    row, and with ``reduced`` from the finished pivot rows as well, in one
-    gather and XOR.  Table rows are zero left of the strip, so only the
-    words from the strip onward are touched.
+    gives the strip's pivots and a basis of m rows (:func:`_strip_basis`).
+    A table of all 2^m combinations of the basis rows then clears the strip
+    from every active row, and with ``reduced`` from the finished pivot rows
+    as well, in one gather and XOR.  Table rows are zero left of the strip,
+    so only the words from the strip onward are touched.  The basis rows,
+    now zero, make room for the reduced strip rows, in pivot order.
     """
     signed = bits.view(np.int64)  # arithmetic shifts give index-typed codes
     r = 0
@@ -216,62 +285,52 @@ def _echelon(bits: np.ndarray, rows: int, cols: int, reduced: bool = False):
     for c0 in range(0, cols, STRIP):
         if r == rows:
             break
-        w, shift = divmod(c0, WORD)
-        k = min(STRIP, cols - c0)
-        active = bits[r:, w:]
-        codes = (signed[r:, w] >> shift) & ((1 << k) - 1)
-        live = codes.nonzero()[0]
+        codes, live, k = _strip_codes(signed, r, c0, cols)
         if not live.size:
             continue
-        codes = codes[live]
-        # ech maps each pivot bit (a lowest set bit) to the reduced basis
-        # code that holds it; piv is their union
-        basis, ech, piv = [], {}, 0
-        for c, i in _candidates(codes, live):
-            t = c & piv
-            while t:
-                lb = t & -t
-                c ^= ech[lb]
-                t ^= lb
-            if c:
-                lb = c & -c
-                for p, e in ech.items():
-                    if e & lb:
-                        ech[p] = e ^ c
-                ech[lb] = c
-                piv |= lb
-                basis.append(i)
-                if len(basis) == k:
-                    break
-        m = len(basis)
-        flips, _ = _gray(m)
-        table = np.bitwise_xor.accumulate(active[np.array(basis)[flips]], axis=0)
-        # a row's bits at the pivots pick the one table row that clears them
-        at = np.empty(1 << STRIP, dtype=np.intp)
-        at[(table[:, 0].view(np.int64) >> shift) & piv] = np.arange(len(table))
+        basis, ech, piv = _strip_basis(codes, live, k)
+        w, shift = divmod(c0, WORD)
+        active = bits[r:, w:]
+        table, at = _table(active, basis, shift, piv)
         active[live] ^= table[at[codes & piv]]
         if reduced and r:
             done = (signed[:r, w] >> shift) & piv
             hit = done.nonzero()[0]
             bits[hit, w:] ^= table[at[done[hit]]]
-        # the basis rows are now zero: move the rows in the pivot slots into
-        # them, and put the reduced strip rows, in pivot order, in the slots
-        movers = [i for i in range(m) if i not in basis]
-        if movers:
-            active[[i for i in basis if i >= m]] = active[movers]
+        _retire(active, basis)
         order = sorted(ech)
-        active[:m] = table[at[order]]
+        active[: len(order)] = table[at[order]]
         pivots.extend(c0 + lb.bit_length() - 1 for lb in order)
-        r += m
+        r += len(order)
     return r, pivots
 
 
 def rank(m: BitMatrix) -> int:
-    """Rank over GF(2), computed by packed Gaussian elimination."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    work = m._bits.copy()
-    r, _ = _echelon(work, m.rows, m.cols)
+    """Rank over GF(2), by the strips of :func:`_echelon` on a copy, counting
+    each strip's basis rows and keeping no pivot or reduced row.
+
+    A basis row is done with once its strip's pivots are found, so it is
+    retired as it stands.  A table is built only where some other row has
+    a bit in the strip: a strip whose every such row is a basis row
+    needs none.
+    """
+    bits = m._bits.copy()
+    signed = bits.view(np.int64)
+    r = 0
+    for c0 in range(0, m.cols, STRIP):
+        if r == m.rows:
+            break
+        codes, live, k = _strip_codes(signed, r, c0, m.cols)
+        if not live.size:
+            continue
+        basis, _, piv = _strip_basis(codes, live, k)
+        w, shift = divmod(c0, WORD)
+        active = bits[r:, w:]
+        if live.size > len(basis):
+            table, at = _table(active, basis, shift, piv)
+            active[live] ^= table[at[codes & piv]]
+        _retire(active, basis)
+        r += len(basis)
     return r
 
 
@@ -366,6 +425,45 @@ def compose(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     return BitMatrix(a.rows, b.cols, _product(a._bits, a.cols, b._bits))
 
 
+def gather_rows(m: BitMatrix, index: np.ndarray) -> BitMatrix:
+    """The matrix whose row i is row ``index[i]`` of ``m``, zero where it is -1:
+    the product with ``m`` of the coordinate map that sends row i to index[i]."""
+    index = np.asarray(index)
+    live = index >= 0
+    bits = np.zeros((index.size, m._bits.shape[1]), dtype=np.uint64)
+    bits[live] = m._bits[index[live]]
+    return BitMatrix(index.size, m.cols, bits)
+
+
+def _grid(shapes, row_dims: Sequence[int], col_dims: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Row and column offsets of a block grid, and each (i, j) of ``shapes``,
+    a dict of block shapes, checked to lie in the grid and fit its slot."""
+    for (bi, bj), (rows, cols) in shapes.items():
+        if not (0 <= bi < len(row_dims) and 0 <= bj < len(col_dims)):
+            raise ShapeError(f"block ({bi}, {bj}) outside the {len(row_dims)}x{len(col_dims)} grid")
+        if (rows, cols) != (row_dims[bi], col_dims[bj]):
+            raise ShapeError(
+                f"block ({bi}, {bj}) is {rows}x{cols}, "
+                f"slot wants {row_dims[bi]}x{col_dims[bj]}"
+            )
+    return [0, *accumulate(row_dims)], [0, *accumulate(col_dims)]
+
+
+def _or_block(out: np.ndarray, rows: slice, col: int, bits: np.ndarray) -> None:
+    """OR packed rows into ``out[rows]`` from column ``col`` on.
+
+    A shift that is not a multiple of the word size spills each word's
+    top bits into the next word.  The rows' padding bits are zero, so the
+    spill past their last column never reaches a word outside ``out``.
+    """
+    w0, shift = divmod(col, WORD)
+    n = bits.shape[1]
+    out[rows, w0 : w0 + n] |= bits << np.uint64(shift)
+    if shift:
+        end = min(w0 + 1 + n, out.shape[1])
+        out[rows, w0 + 1 : end] |= bits[:, : end - w0 - 1] >> np.uint64(WORD - shift)
+
+
 def block_assemble(
     blocks: dict[tuple[int, int], BitMatrix],
     row_dims: Sequence[int],
@@ -376,43 +474,64 @@ def block_assemble(
     ``blocks[(i, j)]`` is placed at block row ``i``, block column ``j``;
     missing blocks are zero.  Each block must match the declared dims.
     """
-    row_dims = list(row_dims)
-    col_dims = list(col_dims)
-    row_off = np.concatenate(([0], np.cumsum(row_dims))).astype(int)
-    col_off = np.concatenate(([0], np.cumsum(col_dims))).astype(int)
-    total_r, total_c = int(row_off[-1]), int(col_off[-1])
-    out = np.zeros((total_r, _words(total_c)), dtype=np.uint64)
+    row_off, col_off = _grid({ij: (b.rows, b.cols) for ij, b in blocks.items()}, row_dims, col_dims)
+    out = np.zeros((row_off[-1], _words(col_off[-1])), dtype=np.uint64)
     for (bi, bj), blk in blocks.items():
-        if not (0 <= bi < len(row_dims) and 0 <= bj < len(col_dims)):
-            raise ShapeError(f"block ({bi}, {bj}) outside the {len(row_dims)}x{len(col_dims)} grid")
-        if blk.rows != row_dims[bi] or blk.cols != col_dims[bj]:
-            raise ShapeError(
-                f"block ({bi}, {bj}) is {blk.rows}x{blk.cols}, "
-                f"slot wants {row_dims[bi]}x{col_dims[bj]}"
-            )
-        if not blk.rows or not blk.cols:
-            continue
-        # OR the block's words in at its column offset; a shift that is not
-        # a multiple of the word size spills each word's top bits into the
-        # next word.  The block's padding bits are zero, so the spill past
-        # its last column never reaches a word outside the output.
-        rows = slice(row_off[bi], row_off[bi + 1])
-        w0, shift = divmod(int(col_off[bj]), WORD)
-        bits = blk._bits
-        n = bits.shape[1]
-        out[rows, w0 : w0 + n] |= bits << np.uint64(shift)
-        if shift:
-            end = min(w0 + 1 + n, out.shape[1])
-            out[rows, w0 + 1 : end] |= bits[:, : end - w0 - 1] >> np.uint64(WORD - shift)
-    return BitMatrix(total_r, total_c, out)
+        if blk.rows and blk.cols:
+            _or_block(out, slice(row_off[bi], row_off[bi + 1]), col_off[bj], blk._bits)
+    return BitMatrix(row_off[-1], col_off[-1], out)
 
 
 def kron(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    """Kronecker product; used for maps of the form (profile x identity)."""
+    """Kronecker product of two whole matrices, by way of dense arrays.
+
+    A split diagram's blocks are packed by :func:`kron_assemble` instead,
+    without staging a product per arrow; this is the general form.
+    """
     # entry (i*b.rows + k, j*b.cols + l) is a[i, j] & b[k, l]
     da, db = a.to_dense(), b.to_dense()
     dense = da[:, None, :, None] & db[None, :, None, :]
     return BitMatrix.from_dense(dense.reshape(a.rows * b.rows, a.cols * b.cols))
+
+
+def kron_assemble(
+    blocks: dict[tuple[int, int], tuple[BitMatrix, int, bool]],
+    row_dims: Sequence[int],
+    col_dims: Sequence[int],
+) -> BitMatrix:
+    """Assemble blocks given as a map tensored with an identity, packed in one pass.
+
+    ``blocks[(i, j)]`` is (m, f, left), the block kron(m, I_f) when
+    ``left`` and kron(I_f, m) otherwise, placed as by
+    :func:`block_assemble`.  With f = 1 the block is m, and its words OR
+    in as they are.  Otherwise entry (i, j) of m sits at (i*f + t, j*f + t)
+    of kron(m, I_f) and at (t*m.rows + i, t*m.cols + j) of kron(I_f, m),
+    for each t < f, so one strided write puts m at every t.  Such a block
+    is staged densely, alone, already shifted to its column's bit in the
+    word, so its packed words OR straight into the output's.
+    """
+    shapes = {ij: (m.rows * f, m.cols * f) for ij, (m, f, _) in blocks.items()}
+    row_off, col_off = _grid(shapes, row_dims, col_dims)
+    out = np.zeros((row_off[-1], _words(col_off[-1])), dtype=np.uint64)
+    for (bi, bj), (m, f, left) in blocks.items():
+        (d, c), (rows, cols) = (m.rows, m.cols), shapes[bi, bj]
+        if not rows or not cols:
+            continue
+        if f == 1:
+            _or_block(out, slice(row_off[bi], row_off[bi + 1]), col_off[bj], m._bits)
+            continue
+        w0, shift = divmod(col_off[bj], WORD)
+        n = _words(shift + cols)
+        staged = np.zeros((rows, n * WORD), dtype=np.uint8)
+        t, dense = np.arange(f), _unpack(m._bits, c)
+        if left:
+            staged.reshape(d, f, n * WORD)[:, :, shift : shift + cols].reshape(d, f, c, f)[:, t, :, t] = dense
+        else:
+            staged.reshape(f, d, n * WORD)[:, :, shift : shift + cols].reshape(f, d, f, c)[t, :, t, :] = dense
+        out[row_off[bi] : row_off[bi + 1], w0 : w0 + n] |= np.packbits(
+            staged, axis=1, bitorder="little"
+        ).view("<u8")
+    return BitMatrix(row_off[-1], col_off[-1], out)
 
 
 def inverse(m: BitMatrix) -> BitMatrix:
@@ -420,8 +539,7 @@ def inverse(m: BitMatrix) -> BitMatrix:
     if m.rows != m.cols:
         raise ShapeError(f"inverse of non-square {m.rows}x{m.cols}")
     n = m.rows
-    aug = np.concatenate([m.to_dense(), np.eye(n, dtype=np.uint8)], axis=1)
-    work = BitMatrix.from_dense(aug)._bits.copy()
+    work = block_assemble({(0, 0): m, (0, 1): BitMatrix.identity(n)}, [n], [n, n])._bits.copy()
     r, pivots = _echelon(work, n, 2 * n, reduced=True)
     if r < n or pivots[:n] != list(range(n)):
         raise ShapeError("matrix is singular")

@@ -38,11 +38,10 @@ from .errors import ShapeError, ValidationError
 from ._witness import WitnessSet, synthesize_witnesses
 from .f2la import (
     BitMatrix,
-    block_assemble,
     compact_labels,
     edge_rank,
     edge_roots,
-    kron,
+    kron_assemble,
     rank,
 )
 from .moduli import (
@@ -58,7 +57,6 @@ from .moduli import (
 __all__ = [
     "EdgeSpec",
     "Diagram",
-    "RealizedDiagram",
     "build_split",
     "realize",
     "describe",
@@ -114,14 +112,6 @@ class Diagram:
 
     def codomain_dim(self) -> int:
         return sum(d for l, d in self.summands.items() if l[0] != "dom")
-
-
-@dataclass(frozen=True)
-class RealizedDiagram:
-    """The same shape with explicit matrices on every edge."""
-
-    summands: dict[Label, int]
-    edges: dict[tuple[Label, Label], BitMatrix]
 
 
 # the largest lambda, or witness set, a split or an inference may hold, in
@@ -212,18 +202,23 @@ def _check_sizes(diagrams: dict[int, Diagram], a: int, g: int, seeds) -> None:
                 )
 
 
-def realize(diag: Diagram, wa: WitnessSet, wb: WitnessSet) -> RealizedDiagram:
-    """Substitute witness matrices for every edge profile."""
-    mats: dict[tuple[Label, Label], BitMatrix] = {}
+def realize(diag: Diagram, wa: WitnessSet, wb: WitnessSet) -> BitMatrix:
+    """Lambda packed: each edge's witness map tensored with the identity on
+    the other factor, in one pass (:func:`~f2moduli.f2la.kron_assemble`)."""
+    doms = [l for l in diag.summands if l[0] == "dom"]
+    cods = [l for l in diag.summands if l[0] != "dom"]
+    row_of = {l: i for i, l in enumerate(doms)}
+    col_of = {l: i for i, l in enumerate(cods)}
+    blocks = {}
     for (src, dst), spec in diag.edges.items():
-        w = wa if spec.side == "A" else wb
-        m = w.matrix(spec.family, spec.degree)
-        eye = BitMatrix.identity(spec.factor)
-        mat = kron(m, eye) if spec.position == "left" else kron(eye, m)
-        if (mat.rows, mat.cols) != (diag.summands[src], diag.summands[dst]):
+        m = (wa if spec.side == "A" else wb).matrix(spec.family, spec.degree)
+        f = spec.factor
+        if (m.rows * f, m.cols * f) != (diag.summands[src], diag.summands[dst]):
             raise ShapeError(f"edge {src}->{dst} realised with the wrong shape")
-        mats[(src, dst)] = mat
-    return RealizedDiagram(dict(diag.summands), mats)
+        blocks[row_of[src], col_of[dst]] = (m, f, spec.position == "left")
+    return kron_assemble(
+        blocks, [diag.summands[l] for l in doms], [diag.summands[l] for l in cods]
+    )
 
 
 def _label_text(label: Label) -> str:
@@ -246,20 +241,10 @@ def describe(d: Diagram) -> list[str]:
     return out
 
 
-def ker_coker(d: RealizedDiagram) -> tuple[int, int]:
-    """Kernel and cokernel dimensions of the assembled block matrix."""
-    doms = [l for l in d.summands if l[0] == "dom"]
-    cods = [l for l in d.summands if l[0] != "dom"]
-    row_of = {l: i for i, l in enumerate(doms)}
-    col_of = {l: i for i, l in enumerate(cods)}
-    blocks = {
-        (row_of[s], col_of[t]): m for (s, t), m in d.edges.items()
-    }
-    total = block_assemble(
-        blocks, [d.summands[l] for l in doms], [d.summands[l] for l in cods]
-    )
-    rk = rank(total)
-    return total.rows - rk, total.cols - rk
+def ker_coker(lam: BitMatrix) -> tuple[int, int]:
+    """Kernel and cokernel dimensions of lambda as :func:`realize` packs it."""
+    rk = rank(lam)
+    return lam.rows - rk, lam.cols - rk
 
 
 def _offsets(diag: Diagram, summands=None) -> tuple[dict, dict, int, int]:
@@ -609,7 +594,7 @@ def _glue_pairs(diagrams: dict[int, Diagram], da: GenusData, dg: GenusData, seed
     """(ker, cok) by degree of ``diagrams`` realised with witness seed ``seed``.
 
     Seed 0 ranks lambda as a graph, since its witnesses are coordinate
-    maps; any other seed by dense elimination of the realised diagram.
+    maps; any other seed by dense elimination of lambda as :func:`realize` packs it.
     The caller has refused what is over MAX_LAMBDA_BYTES
     (:func:`_check_sizes`).  Each piece's witnesses are synthesised once,
     on first use, and each degree is ranked on first use.

@@ -523,3 +523,13 @@ def test_every_option_has_a_readme_example():
             if options and not options & (anywhere if "--format" in options else shown):
                 missing.append(f"{name} {action.option_strings[0]}")
     assert missing == [], f"options with no README example: {missing}"
+
+
+def test_one_parser_serves_every_call():
+    # the parser is built once per process; a parse leaves nothing behind
+    # for the next, so each call still gets every default
+    assert build_parser() is build_parser()
+    first = build_parser().parse_args(["mv", "--split", "2+2", "--seed", "3", "--samples", "2"])
+    again = build_parser().parse_args(["mv", "--split", "2+2"])
+    assert (first.seed, first.samples, first.format) == (3, 2, "markdown")
+    assert (again.seed, again.samples, again.degree) == (0, 1, None)

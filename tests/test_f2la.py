@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -186,6 +187,80 @@ def test_block_assemble_spills_across_words(col_dims):
     )
     assert np.array_equal(out.to_dense(), dense)
     assert not padding_bits(out).any()
+
+
+def kron_both_ways(rng, row_dims, col_dims, fill):
+    """Random blocks m x I_f and I_f x m, assembled by kron_assemble and by
+    np.kron and numpy slicing; f is a random common divisor of the slot's dims."""
+    row_off, col_off = np.cumsum([0, *row_dims]), np.cumsum([0, *col_dims])
+    dense = np.zeros((row_off[-1], col_off[-1]), dtype=np.uint8)
+    blocks = {}
+    for i, j in itertools.product(range(len(row_dims)), range(len(col_dims))):
+        common = math.gcd(row_dims[i], col_dims[j])
+        if not common or rng.random() < 0.3:
+            continue
+        f = int(rng.choice([f for f in range(1, common + 1) if common % f == 0]))
+        m = fill(rng, row_dims[i] // f, col_dims[j] // f)
+        left = bool(rng.integers(2))
+        eye = np.eye(f, dtype=np.uint8)
+        blocks[(i, j)] = (BitMatrix.from_dense(m), f, left)
+        dense[row_off[i] : row_off[i + 1], col_off[j] : col_off[j + 1]] = (
+            np.kron(m, eye) if left else np.kron(eye, m)
+        )
+    return f2la.kron_assemble(blocks, row_dims, col_dims), dense
+
+
+@given(
+    st.lists(st.integers(0, 24), min_size=1, max_size=3),
+    st.lists(st.integers(0, 150), min_size=1, max_size=4),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_kron_assemble_matches_numpy_kron(row_dims, col_dims, seed):
+    rng = np.random.default_rng(seed)
+    out, dense = kron_both_ways(
+        rng, row_dims, col_dims, lambda r, n, k: r.integers(0, 2, size=(n, k), dtype=np.uint8)
+    )
+    assert np.array_equal(out.to_dense(), dense)
+    assert not padding_bits(out).any()
+
+
+@pytest.mark.parametrize(
+    "row_dims, col_dims",
+    [([4], [1, 63, 1]), ([6, 2], [3, 64, 62, 130]), ([65], [65, 130]), ([64], [63, 2, 64])],
+)
+def test_kron_assemble_spills_across_words(row_dims, col_dims):
+    # all-ones maps at offsets that are not multiples of 64, with every
+    # common divisor as a factor over the seeds
+    for seed in range(8):
+        out, dense = kron_both_ways(
+            np.random.default_rng(seed), row_dims, col_dims,
+            lambda r, n, k: np.ones((n, k), dtype=np.uint8),
+        )
+        assert np.array_equal(out.to_dense(), dense)
+        assert not padding_bits(out).any()
+
+
+def test_kron_assemble_rejects_misfit():
+    m = BitMatrix.from_dense(np.ones((2, 3), np.uint8))
+    with pytest.raises(ShapeError, match=r"block \(0, 0\) is 4x6, slot wants 4x5"):
+        f2la.kron_assemble({(0, 0): (m, 2, True)}, [4], [5])
+    with pytest.raises(ShapeError, match="outside"):
+        f2la.kron_assemble({(1, 0): (m, 1, False)}, [2], [3])
+
+
+@given(st.integers(0, 12), st.integers(0, 130), st.integers(0, 2**32 - 1))
+@settings(max_examples=40)
+def test_gather_rows_is_the_product_with_a_coordinate_map(rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    m = random_matrix(rng, rows, cols)
+    index = rng.integers(-1, rows, size=int(rng.integers(0, 15)))
+    coord = np.zeros((index.size, rows), dtype=np.uint8)
+    live = np.flatnonzero(index >= 0)
+    coord[live, index[live]] = 1
+    got = f2la.gather_rows(m, index)
+    assert got == f2la.compose(BitMatrix.from_dense(coord), m)
+    assert not padding_bits(got).any()
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +550,63 @@ def test_echelon_of_full_strips_repeated_rows_and_one_row_per_code():
     check_echelon(np.concatenate([dense, dense[::-1]]))
     check_echelon(np.tile(np.eye(70, dtype=np.uint8)[::-1], (3, 1)))
     check_echelon(np.ones((90, 129), dtype=np.uint8))
+
+
+def check_rank(dense: np.ndarray) -> int:
+    """f2la.rank, the strip loop that keeps no pivots, against the
+    per-column reference; the matrix it ranks is left as it was."""
+    m = BitMatrix.from_dense(dense)
+    before, ref = m._bits.copy(), m._bits.copy()
+    got = f2la.rank(m)
+    assert got == column_echelon(ref, *dense.shape)[0]
+    assert np.array_equal(m._bits, before)
+    return got
+
+
+@pytest.mark.parametrize("cols", WORD_BOUNDARY_WIDTHS)
+@given(st.integers(0, 140), st.integers(0, 2**32 - 1))
+@settings(max_examples=12, deadline=None)
+def test_rank_matches_column_reference_at_word_boundaries(cols, rows, seed):
+    check_rank(awkward_matrix(np.random.default_rng(seed), rows, cols))
+
+
+@given(st.integers(1, 30), st.integers(1, 200), st.integers(2, 4), st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_rank_of_repeated_rows(rows, cols, copies, seed):
+    # every row several times, shuffled: a strip's rows repeat its basis
+    # rows' codes, which the rank must not count twice
+    rng = np.random.default_rng(seed)
+    dense = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
+    stacked = np.tile(dense, (copies, 1))[rng.permutation(rows * copies)]
+    assert check_rank(stacked) == check_rank(dense)
+
+
+@pytest.mark.parametrize("late", [0, 1, 5])
+def test_rank_with_more_than_64_live_rows(late):
+    # 150 rows with a bit in the first strip, the first 100 only in a
+    # two-dimensional span of codes, so the strip's basis is completed
+    # from the rows past the first 64 (the fallback of _candidates)
+    rng = np.random.default_rng(late)
+    dense = rng.integers(0, 2, size=(150, 70), dtype=np.uint8)
+    dense[:100, :8] = np.unpackbits(
+        rng.choice([1, 2, 3], size=(100, 1)).astype(np.uint8), axis=1, bitorder="little"
+    )
+    dense[100:, :8] = 0
+    dense[100 + late :: 7, 2 + late] = 1
+    assert check_rank(dense) == oracle_rank(to_masks(BitMatrix.from_dense(dense)), 70)
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 1), (64, 64), (65, 200), (90, 129)])
+def test_rank_of_all_ones(rows, cols):
+    assert check_rank(np.ones((rows, cols), dtype=np.uint8)) == 1
+
+
+@pytest.mark.parametrize("n", [1, 8, 63, 64, 65, 130])
+def test_rank_of_reversed_identity(n):
+    assert check_rank(np.eye(n, dtype=np.uint8)[::-1]) == n
+    # and tiled three times down and twice across
+    wide = np.tile(np.eye(n, dtype=np.uint8)[::-1], (3, 2))
+    assert check_rank(wide) == n
 
 
 @pytest.mark.parametrize("n", [0, *WORD_BOUNDARY_WIDTHS[1:], 200])

@@ -20,6 +20,8 @@ GOLDEN = [
     ("mv_2+2.json", "mv --split 2+2 --format json", 0),
     ("mv_2+2.csv", "mv --split 2+2 --format csv", 0),
     ("mv_2+2_seed1_samples2.json", "mv --split 2+2 --seed 1 --samples 2 --format json", 0),
+    # the benchmark's other split-seeded command: dense elimination at seeds 1 and 2
+    ("mv_1+4_seed1_samples2.json", "mv --split 1+4 --seed 1 --samples 2 --format json", 0),
     ("mv_2+2_degree9.json", "mv --split 2+2 --degree 9 --format json", 0),
     ("mv_1+3.json", "mv --split 1+3 --format json", 0),
     ("mv_1+2_seed1_samples3.md", "mv --split 1+2 --seed 1 --samples 3", 0),

@@ -60,6 +60,8 @@ KEPT = {
     "error": "argparse calls _Parser.error on a usage error",
     "from_rows": "perfbench's tracer test builds its matrix with it, and perfbench/ "
     "changes only together with the benchmark",
+    "kron": "perfbench's tracer times it as the f2la.kron layer; split diagrams "
+    "are packed by kron_assemble",
 }
 
 

@@ -1,5 +1,5 @@
 from copy import copy
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
@@ -10,7 +10,7 @@ from f2moduli._witness import _hits, _plan, synthesize_witnesses
 from f2moduli.betti import m_coeff, mod2_table
 from f2moduli.cli import _split22_document
 from f2moduli.errors import ShapeError, ValidationError
-from f2moduli.f2la import BitMatrix, compose, inverse, rank
+from f2moduli.f2la import BitMatrix, block_assemble, compose, inverse, rank
 from f2moduli.moduli import MapRef, assemble_genus_data, genus1_data, genus2_data, nplus_betti
 from f2moduli.mv import (
     Diagram,
@@ -18,7 +18,6 @@ from f2moduli.mv import (
     EdgeSpec,
     InferenceResult,
     InferenceScan,
-    RealizedDiagram,
     build_split,
     canonical_data,
     closed_form_ker_coker,
@@ -105,8 +104,9 @@ def test_lone_upper_dot(d1):
     assert ker_coker(realize(diag, *_wits(d1, d1))) == (1, 0)
 
 
-def test_empty_diagram():
-    assert ker_coker(RealizedDiagram({}, {})) == (0, 0)
+def test_empty_diagram(d1):
+    empty = Diagram((1, 1), 0, {}, {})
+    assert ker_coker(realize(empty, *_wits(d1, d1))) == (0, 0)
 
 
 def _wits(da, dg, seed=0):
@@ -132,9 +132,10 @@ def test_describe_symbolic_and_realized(d1):
     assert any("nu_3 of side A" in l for l in sym)
     real = realize(diag, *_wits(d1, d1))
     # one line per summand and per edge, the same edges realize fills in
-    assert len(sym) == 3 + len(real.summands) + len(real.edges)
+    assert len(sym) == 3 + len(diag.summands) + len(diag.edges)
     edges = sym[sym.index("edges:") + 1 :]
-    assert len(edges) == len(real.edges) and all(" -> " in l for l in edges)
+    assert len(edges) == len(diag.edges) and all(" -> " in l for l in edges)
+    assert (real.rows, real.cols) == (diag.domain_dim(), diag.codomain_dim())
 
 
 def test_realize_checks_shapes(d1):
@@ -235,11 +236,55 @@ def test_glue13_gives_genus4():
 
 
 # ---------------------------------------------------------------------------
-# block elimination, an independent check of ker_coker
+# lambda as blocks: a dense reference for realize, and block elimination,
+# an independent check of ker_coker
 # ---------------------------------------------------------------------------
 
 
-def eliminate(d: RealizedDiagram) -> RealizedDiagram:
+@dataclass(frozen=True)
+class Blocks:
+    """Lambda as summand dims and one packed matrix per edge."""
+
+    summands: dict
+    edges: dict
+
+
+def dense_blocks(diag: Diagram, wa, wb) -> Blocks:
+    """Each edge's block m x I_f or I_f x m by np.kron on dense arrays."""
+    edges = {}
+    for (src, dst), e in diag.edges.items():
+        m = (wa if e.side == "A" else wb).matrix(e.family, e.degree).to_dense()
+        eye = np.eye(e.factor, dtype=np.uint8)
+        edges[(src, dst)] = BitMatrix.from_dense(np.kron(m, eye) if e.position == "left" else np.kron(eye, m))
+    return Blocks(dict(diag.summands), edges)
+
+
+def assemble(d: Blocks) -> BitMatrix:
+    """The blocks laid out as realize lays out lambda: domain summands down,
+    codomain summands across, each in the order of ``summands``."""
+    doms = [l for l in d.summands if l[0] == "dom"]
+    cods = [l for l in d.summands if l[0] != "dom"]
+    blocks = {(doms.index(s), cods.index(t)): m for (s, t), m in d.edges.items()}
+    return block_assemble(blocks, [d.summands[l] for l in doms], [d.summands[l] for l in cods])
+
+
+@pytest.mark.parametrize("a, g", [(1, 4), (2, 2)])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_realize_matches_dense_kron_reference(a, g, seed):
+    # every degree of the benchmark's seeded splits: their arrows take both
+    # positions (side A left, side B right), with identity factors 1 and
+    # more, except that 1+4's right arrows are all tensored with I_1
+    wa, wb = _wits(canonical_data(a), canonical_data(g), seed)
+    kinds = set()
+    for r in range(6 * (a + g) - 2):
+        diag = build_split(r, a, g)
+        assert realize(diag, wa, wb) == assemble(dense_blocks(diag, wa, wb)), r
+        kinds |= {(e.position, e.factor > 1) for e in diag.edges.values()}
+    wide_right = a > 1
+    assert kinds == {("left", False), ("left", True), ("right", False), ("right", wide_right)}
+
+
+def eliminate(d: Blocks) -> Blocks:
     """Cancel invertible edges until none remain.
 
     Pivoting on an invertible edge A: D -> C deletes D and C and adds the
@@ -258,7 +303,7 @@ def eliminate(d: RealizedDiagram) -> RealizedDiagram:
                 pivot = key
                 break
         if pivot is None:
-            return RealizedDiagram(summands, edges)
+            return Blocks(summands, edges)
         src, dst = pivot
         a_inv = inverse(edges.pop(pivot))
         into = [(s, edges.pop((s, t))) for (s, t) in sorted(edges) if t == dst]
@@ -274,7 +319,7 @@ def eliminate(d: RealizedDiagram) -> RealizedDiagram:
 
 def test_eliminate_single_iso_empties():
     two = BitMatrix.identity(2)
-    diag = RealizedDiagram({("dom", 0, 0): 2, ("red", 0): 2}, {(("dom", 0, 0), ("red", 0)): two})
+    diag = Blocks({("dom", 0, 0): 2, ("red", 0): 2}, {(("dom", 0, 0), ("red", 0)): two})
     out = eliminate(diag)
     assert out.summands == {} and out.edges == {}
 
@@ -287,18 +332,19 @@ def _no_invertible_edges(d):
 
 @pytest.mark.parametrize("r", range(10))
 def test_eliminate_preserves_lambda11(r, d1):
-    real = realize(build_split(r, 1, 1), *_wits(d1, d1))
+    diag = build_split(r, 1, 1)
+    real = dense_blocks(diag, *_wits(d1, d1))
     red = eliminate(real)
-    assert ker_coker(red) == ker_coker(real)
+    assert ker_coker(assemble(red)) == ker_coker(realize(diag, *_wits(d1, d1)))
     assert _no_invertible_edges(red)
     assert len(red.summands) <= len(real.summands)
 
 
 @pytest.mark.parametrize("r", [3, 4, 5, 7, 11])
 def test_eliminate_preserves_lambda12(r, d1, d2):
-    real = realize(build_split(r, 1, 2), *_wits(d1, d2))
-    red = eliminate(real)
-    assert ker_coker(red) == ker_coker(real)
+    diag = build_split(r, 1, 2)
+    red = eliminate(dense_blocks(diag, *_wits(d1, d2)))
+    assert ker_coker(assemble(red)) == ker_coker(realize(diag, *_wits(d1, d2)))
     assert _no_invertible_edges(red)
 
 
@@ -314,7 +360,7 @@ def _random_diagram(rng):
             if rng.random() < 0.6:
                 dense = rng.integers(0, 2, size=(summands[s], summands[t]))
                 edges[(s, t)] = BitMatrix.from_dense(dense.astype(np.uint8))
-    return RealizedDiagram(summands, edges)
+    return Blocks(summands, edges)
 
 
 @pytest.mark.parametrize("seed", range(100))
@@ -322,7 +368,7 @@ def test_eliminate_preserves_random_diagrams(seed):
     rng = np.random.default_rng(seed)
     d = _random_diagram(rng)
     red = eliminate(d)
-    assert ker_coker(red) == ker_coker(d)
+    assert ker_coker(assemble(red)) == ker_coker(assemble(d))
     assert _no_invertible_edges(red)
 
 
