@@ -9,16 +9,16 @@ platform.  All operations are pure: a ``BitMatrix`` is never mutated after
 construction, and every routine that "modifies" a matrix returns a fresh
 one.
 
-Elimination clears eight columns at a time with tables of row
-combinations (the Four-Russians method).  Its pivots are the leftmost
-columns that the row space allows, and its reduced form is the unique
-reduced echelon form: the row space fixes both, so which rows serve as
-pivots does not matter, and ranks, pivot lists, inverses and synthesized
-witnesses are the same on every run and platform.  Two loops share each
-strip's basis search (:func:`_strip_basis`).  :func:`rank` runs the one
-that only counts: it retires each strip's basis rows as they stand and
-keeps no pivot or reduced row.  :func:`inverse` runs :func:`_echelon`,
-which keeps the pivot list and writes the reduced rows.
+Elimination has two engines.  A matrix of at most ``INT_RANK_BITS``
+(2^20) bits, and every matrix :func:`inverse` takes, is eliminated on
+its rows read as Python ints, bit-reversed so that a row's highest set
+bit, its ``bit_length`` and pivot, is its leftmost column.  A larger
+matrix is ranked by :func:`_strip_rank`, eight columns at a time (the
+Four-Russians method) in a few numpy calls per strip: that per-call cost
+outweighs the XORs on small matrices, and whole-word XORs beat int
+arithmetic on large dense ones.  Both take the leftmost pivots the row
+space allows, and the rank is the row space's dimension, the same
+integer whichever engine runs.
 
 A split diagram's blocks are maps tensored with identities, which
 :func:`kron_assemble` packs into one matrix, a block at a time.
@@ -41,6 +41,12 @@ from .errors import ShapeError
 
 WORD = 64
 STRIP = 8  # columns per elimination step: one byte of a word
+INT_RANK_BITS = 1 << 20  # largest matrix rank() eliminates as int rows
+
+# byte b with its bits in reverse order, so column 0 is a byte's top bit
+_REVERSED = np.packbits(
+    np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1), axis=1, bitorder="little"
+).ravel()
 
 __all__ = [
     "BitMatrix",
@@ -111,13 +117,6 @@ class BitMatrix:
         self._bits = bits
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        bits = np.zeros((n, _words(n)), dtype=np.uint64)
-        i = np.arange(n)
-        bits[i, i // WORD] = np.uint64(1) << (i % WORD).astype(np.uint64)
-        return cls(n, n, bits)
 
     @classmethod
     def from_rows(cls, data: Sequence[Iterable[int]], cols: int | None = None) -> "BitMatrix":
@@ -203,11 +202,10 @@ def _candidates(codes: np.ndarray, live: np.ndarray):
         yield from zip(present.tolist(), rep[present].tolist())
 
 
-def _strip_basis(codes: np.ndarray, live: np.ndarray, k: int) -> tuple[list[int], dict[int, int], int]:
+def _strip_basis(codes: np.ndarray, live: np.ndarray, k: int) -> tuple[list[int], int]:
     """A strip's basis rows, from :func:`_candidates`, while their codes
-    add to the span and up to ``k`` of them; with ``ech``, which maps each
-    pivot bit (a lowest set bit) to the reduced basis code that holds it,
-    and ``piv``, their union."""
+    add to the span and up to ``k`` of them; and ``piv``, the union of
+    their pivot bits (each the lowest set bit of a reduced basis code)."""
     basis, ech, piv = [], {}, 0
     for c, i in _candidates(codes, live):
         t = c & piv
@@ -225,7 +223,7 @@ def _strip_basis(codes: np.ndarray, live: np.ndarray, k: int) -> tuple[list[int]
             basis.append(i)
             if len(basis) == k:
                 break
-    return basis, ech, piv
+    return basis, piv
 
 
 def _strip_codes(signed: np.ndarray, r: int, c0: int, cols: int) -> tuple[np.ndarray, np.ndarray, int]:
@@ -261,61 +259,21 @@ def _retire(active: np.ndarray, basis: list[int]) -> None:
             active[i] = active[j]
 
 
-def _echelon(bits: np.ndarray, rows: int, cols: int, reduced: bool = False):
-    """In-place row echelon form, eight columns at a time.
-
-    Returns (rank, pivot column list).  With ``reduced`` the result is the
-    Gauss-Jordan form (pivot columns cleared above the pivot as well).
+def _strip_rank(m: BitMatrix) -> int:
+    """Rank over GF(2) by strips of eight columns, on a copy.
 
     This is the Four-Russians method (M4RI: Albrecht, Bard and Hart, ACM
     TOMS 2010).  A strip of eight columns is one byte of a word, so each
-    row's bits there read as a code below 256.  The rows below the pivots
-    found so far (the active rows) are zero left of the strip.  One active
-    row per distinct code, taken in order until the codes' span is full,
-    gives the strip's pivots and a basis of m rows (:func:`_strip_basis`).
-    A table of all 2^m combinations of the basis rows then clears the strip
-    from every active row, and with ``reduced`` from the finished pivot rows
-    as well, in one gather and XOR.  Table rows are zero left of the strip,
-    so only the words from the strip onward are touched.  The basis rows,
-    now zero, make room for the reduced strip rows, in pivot order.
-    """
-    signed = bits.view(np.int64)  # arithmetic shifts give index-typed codes
-    r = 0
-    pivots: list[int] = []
-    for c0 in range(0, cols, STRIP):
-        if r == rows:
-            break
-        codes, live, k = _strip_codes(signed, r, c0, cols)
-        if not live.size:
-            continue
-        basis, ech, piv = _strip_basis(codes, live, k)
-        w, shift = divmod(c0, WORD)
-        active = bits[r:, w:]
-        table, at = _table(active, basis, shift, piv)
-        active[live] ^= table[at[codes & piv]]
-        if reduced and r:
-            done = (signed[:r, w] >> shift) & piv
-            hit = done.nonzero()[0]
-            bits[hit, w:] ^= table[at[done[hit]]]
-        _retire(active, basis)
-        order = sorted(ech)
-        active[: len(order)] = table[at[order]]
-        pivots.extend(c0 + lb.bit_length() - 1 for lb in order)
-        r += len(order)
-    return r, pivots
-
-
-def rank(m: BitMatrix) -> int:
-    """Rank over GF(2), by the strips of :func:`_echelon` on a copy, counting
-    each strip's basis rows and keeping no pivot or reduced row.
-
-    A basis row is done with once its strip's pivots are found, so it is
-    retired as it stands.  A table is built only where some other row has
-    a bit in the strip: a strip whose every such row is a basis row
-    needs none.
+    row's bits there read as a code below 256.  The rows below the basis
+    rows retired so far (the active rows) are zero left of the strip.  One
+    active row per distinct code, in order until the codes' span is full,
+    gives a basis of k rows (:func:`_strip_basis`).  Where other rows have
+    a bit in the strip, a table of all 2^k combinations of the basis rows
+    clears it from them in one gather and XOR, on the words from the strip
+    onward.  The basis rows are then retired as they stand, and counted.
     """
     bits = m._bits.copy()
-    signed = bits.view(np.int64)
+    signed = bits.view(np.int64)  # arithmetic shifts give index-typed codes
     r = 0
     for c0 in range(0, m.cols, STRIP):
         if r == m.rows:
@@ -323,7 +281,7 @@ def rank(m: BitMatrix) -> int:
         codes, live, k = _strip_codes(signed, r, c0, m.cols)
         if not live.size:
             continue
-        basis, _, piv = _strip_basis(codes, live, k)
+        basis, piv = _strip_basis(codes, live, k)
         w, shift = divmod(c0, WORD)
         active = bits[r:, w:]
         if live.size > len(basis):
@@ -331,6 +289,42 @@ def rank(m: BitMatrix) -> int:
             active[live] ^= table[at[codes & piv]]
         _retire(active, basis)
         r += len(basis)
+    return r
+
+
+def _int_rows(m: BitMatrix) -> list[int]:
+    """Each row of ``m`` as an int of 64 bits per word, column j at bit
+    64 * words - 1 - j: its highest set bit is its leftmost column."""
+    octets = _REVERSED[np.ascontiguousarray(m._bits, dtype="<u8").view(np.uint8)]
+    data, n = octets.tobytes(), octets.shape[1]
+    return [int.from_bytes(data[i : i + n], "big") for i in range(0, len(data), n)]
+
+
+def _from_int_rows(rows: list[int], cols: int) -> BitMatrix:
+    """Inverse of :func:`_int_rows`: the matrix with these rows."""
+    data = b"".join(x.to_bytes(_words(cols) * (WORD // 8), "big") for x in rows)
+    octets = _REVERSED[np.frombuffer(data, dtype=np.uint8)]
+    return BitMatrix(len(rows), cols, octets.view("<u8").reshape(len(rows), _words(cols)))
+
+
+def rank(m: BitMatrix) -> int:
+    """Rank over GF(2): up to ``INT_RANK_BITS`` bits, each int row
+    (:func:`_int_rows`) is reduced by the basis row of its highest set bit
+    until it is zero or joins the basis there; larger matrices go to
+    :func:`_strip_rank`."""
+    if m.rows * m.cols > INT_RANK_BITS:
+        return _strip_rank(m)
+    basis = [0] * (_words(m.cols) * WORD + 1)
+    r = 0
+    for x in _int_rows(m):
+        while x:
+            b = x.bit_length()
+            p = basis[b]
+            if not p:
+                basis[b] = x
+                r += 1
+                break
+            x ^= p
     return r
 
 
@@ -535,16 +529,37 @@ def kron_assemble(
 
 
 def inverse(m: BitMatrix) -> BitMatrix:
-    """Inverse of a square invertible matrix (Gauss-Jordan on [m | I])."""
+    """Inverse of a square invertible matrix (Gauss-Jordan on [m | I]).
+
+    Row i of [m | I] is m's int row (:func:`_int_rows`) over the n bits
+    of I's, each reduced as in :func:`rank`; one that falls into I's bits
+    is a dependent row of m.  Otherwise every column of m is a pivot, and
+    each pivot row is cleared of the lower pivots' bits, lowest first.
+    """
     if m.rows != m.cols:
         raise ShapeError(f"inverse of non-square {m.rows}x{m.cols}")
     n = m.rows
-    work = block_assemble({(0, 0): m, (0, 1): BitMatrix.identity(n)}, [n], [n, n])._bits.copy()
-    r, pivots = _echelon(work, n, 2 * n, reduced=True)
-    if r < n or pivots[:n] != list(range(n)):
-        raise ShapeError("matrix is singular")
-    full = BitMatrix(n, 2 * n, work).to_dense()
-    return BitMatrix.from_dense(full[:, n:])
+    pad = _words(n) * WORD - n
+    basis = [0] * (2 * n + 1)
+    for i, x in enumerate(_int_rows(m)):
+        x = (x >> pad) << n | 1 << (n - 1 - i)
+        b = x.bit_length()
+        while b > n and basis[b]:
+            x ^= basis[b]
+            b = x.bit_length()
+        if b <= n:
+            raise ShapeError("matrix is singular")
+        basis[b] = x
+    for b in range(n + 2, 2 * n + 1):
+        x, t = basis[b], (basis[b] >> n) ^ (1 << (b - n - 1))
+        while t:
+            c = t.bit_length()
+            x ^= basis[n + c]
+            t ^= 1 << (c - 1)
+        basis[b] = x
+    # row j of m^-1 is the identity half of the row whose pivot is column j
+    low = (1 << n) - 1
+    return _from_int_rows([(basis[2 * n - j] & low) << pad for j in range(n)], n)
 
 
 # ---------------------------------------------------------------------------

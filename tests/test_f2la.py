@@ -2,9 +2,9 @@
 
 Ranks are checked against an independent oracle (naive full elimination on
 Python int bitmasks) and kernel dimensions against exhaustive null-space
-enumeration on small matrices.  The strip elimination engine is checked
-against per-column elimination kept here as a reference, and seeded
-products against digests of their outputs.
+enumeration on small matrices.  Both rank engines, int rows and strips,
+are checked against per-column elimination kept here as a reference, and
+seeded products against digests of their outputs.
 """
 
 from __future__ import annotations
@@ -63,6 +63,10 @@ def oracle_kernel_dim_exhaustive(m: BitMatrix) -> int:
 
 def random_matrix(rng: np.random.Generator, rows: int, cols: int) -> BitMatrix:
     return BitMatrix.from_dense(rng.integers(0, 2, size=(rows, cols), dtype=np.uint8))
+
+
+def identity(n: int) -> BitMatrix:
+    return BitMatrix.from_dense(np.eye(n, dtype=np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +132,10 @@ def test_from_rows_rejects_ragged_rows():
 
 @pytest.mark.parametrize("n", WORD_BOUNDARY_WIDTHS)
 def test_identity_matches_numpy(n):
-    m = BitMatrix.identity(n)
+    m = identity(n)
     assert np.array_equal(m.to_dense(), np.eye(n, dtype=np.uint8))
     assert not padding_bits(m).any()
+    assert f2la.inverse(m) == m
 
 
 @given(
@@ -269,7 +274,7 @@ def test_gather_rows_is_the_product_with_a_coordinate_map(rows, cols, seed):
 
 
 def test_rank_identity():
-    assert f2la.rank(BitMatrix.identity(7)) == 7
+    assert f2la.rank(identity(7)) == 7
 
 
 def test_rank_zero_matrix():
@@ -450,7 +455,7 @@ def test_edge_rank_rejects_ends_outside_the_columns():
 
 
 # ---------------------------------------------------------------------------
-# strip elimination against per-column elimination
+# both rank engines against per-column elimination
 # ---------------------------------------------------------------------------
 
 
@@ -458,7 +463,7 @@ def column_echelon(bits: np.ndarray, rows: int, cols: int, reduced: bool = False
     """Reference: in-place echelon form one column at a time, leftmost
     unused column first and the topmost available row as its pivot.
 
-    Returns (rank, pivot column list), as ``f2la._echelon`` does.
+    Returns (rank, pivot column list).
     """
     r = 0
     pivots: list[int] = []
@@ -504,21 +509,31 @@ def awkward_matrix(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray
     return dense
 
 
-def check_echelon(dense: np.ndarray) -> None:
-    rows, cols = dense.shape
+def check_rank(dense: np.ndarray) -> int:
+    """Both rank engines against the per-column reference: ``f2la.rank``
+    (int rows up to ``INT_RANK_BITS`` bits, strips above) and the strip
+    loop called directly; the matrix they rank is left as it was."""
     m = BitMatrix.from_dense(dense)
-    for reduced in (False, True):
-        ours, ref = m._bits.copy(), m._bits.copy()
-        got = f2la._echelon(ours, rows, cols, reduced)
-        assert got == column_echelon(ref, rows, cols, reduced)
-        if not reduced:
-            # an echelon form of the same row space: nothing below the
-            # rank, and the same reduced form
-            assert not ours[got[0] :].any()
-            column_echelon(ours, rows, cols, reduced=True)
-            column_echelon(ref, rows, cols, reduced=True)
-        assert np.array_equal(ours, ref)
-    assert f2la.rank(m) == got[0]
+    before, ref = m._bits.copy(), m._bits.copy()
+    want = column_echelon(ref, *dense.shape)[0]
+    assert f2la.rank(m) == want
+    assert np.array_equal(m._bits, before)
+    assert f2la._strip_rank(m) == want
+    assert np.array_equal(m._bits, before)
+    return want
+
+
+def check_echelon(dense: np.ndarray) -> int:
+    """The int rows that rank() and inverse() eliminate hold column j at
+    bit 64 * words - 1 - j, so a row's highest set bit is its leftmost
+    column, and they pack back to the same matrix; then both rank engines
+    against the per-column reference (:func:`check_rank`)."""
+    m = BitMatrix.from_dense(dense)
+    width = f2la.WORD * m._bits.shape[1]
+    rows = f2la._int_rows(m)
+    assert rows == [sum(v << (width - 1 - j) for j, v in enumerate(row)) for row in dense.tolist()]
+    assert f2la._from_int_rows(rows, m.cols) == m
+    return check_rank(dense)
 
 
 def reference_inverse(m: BitMatrix) -> BitMatrix:
@@ -547,20 +562,29 @@ def test_echelon_of_full_strips_repeated_rows_and_one_row_per_code():
     # unit vectors in reverse order: the basis fills from late candidates
     codes = np.arange(256, dtype=np.uint8)
     dense = np.unpackbits(codes[:, None], axis=1, bitorder="little")
-    check_echelon(np.concatenate([dense, dense[::-1]]))
-    check_echelon(np.tile(np.eye(70, dtype=np.uint8)[::-1], (3, 1)))
-    check_echelon(np.ones((90, 129), dtype=np.uint8))
+    assert check_echelon(np.concatenate([dense, dense[::-1]])) == 8
+    assert check_echelon(np.tile(np.eye(70, dtype=np.uint8)[::-1], (3, 1))) == 70
+    assert check_echelon(np.ones((90, 129), dtype=np.uint8)) == 1
 
 
-def check_rank(dense: np.ndarray) -> int:
-    """f2la.rank, the strip loop that keeps no pivots, against the
-    per-column reference; the matrix it ranks is left as it was."""
-    m = BitMatrix.from_dense(dense)
-    before, ref = m._bits.copy(), m._bits.copy()
-    got = f2la.rank(m)
-    assert got == column_echelon(ref, *dense.shape)[0]
-    assert np.array_equal(m._bits, before)
-    return got
+@pytest.mark.parametrize("cols", [1024, 1025])
+def test_rank_of_low_rank_matrices_either_side_of_the_int_cutoff(monkeypatch, cols):
+    # 1024 x 1024 is the largest square matrix rank() eliminates as int
+    # rows; one column more and it goes to the strip loop
+    assert 1024 * 1024 == f2la.INT_RANK_BITS
+    rng = np.random.default_rng(cols)
+    left = rng.integers(0, 2, size=(1024, 40))
+    dense = (left @ rng.integers(0, 2, size=(40, cols)) % 2).astype(np.uint8)
+    assert check_rank(dense) == 40
+    strips, calls = f2la._strip_rank, []
+    monkeypatch.setattr(f2la, "_strip_rank", lambda m: calls.append(m) or strips(m))
+    assert f2la.rank(BitMatrix.from_dense(dense)) == 40
+    assert len(calls) == (cols > 1024)
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 1), (0, 65), (0, 2000), (1, 0), (65, 0), (2000, 0)])
+def test_rank_of_empty_shapes(rows, cols):
+    assert check_rank(np.zeros((rows, cols), dtype=np.uint8)) == 0
 
 
 @pytest.mark.parametrize("cols", WORD_BOUNDARY_WIDTHS)
@@ -613,7 +637,13 @@ def test_rank_of_reversed_identity(n):
 def test_inverse_matches_column_reference(n):
     m = f2la.random_invertible(n, np.random.default_rng(n))
     assert f2la.inverse(m) == reference_inverse(m)
-    assert f2la.compose(m, f2la.inverse(m)) == BitMatrix.identity(n)
+    assert f2la.compose(m, f2la.inverse(m)) == identity(n)
+    if n:
+        # the last row made the sum of all the others
+        dense = m.to_dense()
+        dense[-1] = dense[:-1].sum(axis=0) % 2
+        with pytest.raises(ShapeError, match="^matrix is singular$"):
+            f2la.inverse(BitMatrix.from_dense(dense))
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +684,7 @@ def test_block_assemble_single_block_is_identity_operation():
 
 
 def test_block_assemble_layout():
-    a = BitMatrix.identity(2)
+    a = identity(2)
     b = BitMatrix.from_dense(np.array([[1], [1]]))
     out = f2la.block_assemble({(0, 0): a, (1, 1): b}, [2, 2], [2, 1])
     expect = BitMatrix.from_dense(np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 1]]))
@@ -677,7 +707,7 @@ def test_block_assemble_rank_additive_when_diagonal():
 def test_kron_with_identity():
     rng = np.random.default_rng(29)
     m = random_matrix(rng, 3, 2)
-    out = f2la.kron(m, BitMatrix.identity(4))
+    out = f2la.kron(m, identity(4))
     assert (out.rows, out.cols) == (12, 8)
     assert f2la.rank(out) == 4 * f2la.rank(m)
 
@@ -686,7 +716,7 @@ def test_inverse_round_trip():
     rng = f2la.rng_for(1, "inv-test")
     for n in (1, 2, 5, 9):
         m = f2la.random_invertible(n, rng)
-        assert f2la.compose(m, f2la.inverse(m)) == BitMatrix.identity(n)
+        assert f2la.compose(m, f2la.inverse(m)) == identity(n)
 
 
 def test_inverse_rejects_singular():

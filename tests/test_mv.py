@@ -318,7 +318,7 @@ def eliminate(d: Blocks) -> Blocks:
 
 
 def test_eliminate_single_iso_empties():
-    two = BitMatrix.identity(2)
+    two = BitMatrix.from_dense(np.eye(2, dtype=np.uint8))
     diag = Blocks({("dom", 0, 0): 2, ("red", 0): 2}, {(("dom", 0, 0), ("red", 0)): two})
     out = eliminate(diag)
     assert out.summands == {} and out.edges == {}
@@ -703,7 +703,7 @@ def test_seed_0_builds_no_packed_matrix(monkeypatch, run):
     made = []
     init = BitMatrix.__init__
     monkeypatch.setattr(BitMatrix, "__init__", lambda self, *args: made.append(args) or init(self, *args))
-    BitMatrix.identity(2)
+    BitMatrix.from_dense(np.eye(2, dtype=np.uint8))
     assert len(made) == 1  # the counter sees a construction
     made.clear()
     if run == "split_report(1, 5)":
