@@ -13,9 +13,10 @@ All counts are plain Python ints, so nothing overflows at large genus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from operator import eq, ge
 
 from .errors import ValidationError
 
@@ -237,14 +238,29 @@ def total_rank_identity(g: int) -> tuple[int, int, int]:
 
 @dataclass(frozen=True)
 class TheoremReport:
-    """Per-constraint verdicts for a candidate next-genus table."""
+    """Per-constraint verdicts for a candidate next-genus table.
+
+    Each of ``families`` is (name, detail, degrees, got, want, verdicts):
+    the constraint at ``degrees[i]`` compares ``got[i]`` with ``want[i]``,
+    and its boolean ``verdicts[i]`` is computed once, when the report is
+    built.  :attr:`all_pass` reads only those booleans; :attr:`items` is
+    formatted on read, from the name and detail templates, r, got and want.
+    """
 
     genus: int
-    items: tuple[tuple[str, bool, str], ...] = field(default_factory=tuple)
+    families: tuple[tuple, ...]
 
     @property
     def all_pass(self) -> bool:
-        return all(ok for _, ok, _ in self.items)
+        return all(all(family[-1]) for family in self.families)
+
+    @property
+    def items(self) -> tuple[tuple[str, bool, str], ...]:
+        return tuple(
+            (name.format(r=r), ok, detail.format(r=r, got=a, want=b))
+            for name, detail, degrees, got, want, verdicts in self.families
+            for r, a, b, ok in zip(degrees, got, want, verdicts)
+        )
 
 
 def verify_theorem(g: int, candidate: BettiTable) -> TheoremReport:
@@ -263,32 +279,29 @@ def verify_theorem(g: int, candidate: BettiTable) -> TheoremReport:
             f"candidate has genus {candidate.genus}, expected {g + 1}"
         )
     row, lower = _next_row(mod2_table(g).values, g)
-    c = candidate.values
-    bands = ["lower"] * (3 * g) + ["middle"] * 4 + ["upper"] * (3 * g)
-    items = [
-        (f"{band}-bound@{r}", v >= bound, f"{v} >= {bound}")
-        for r, (band, v, bound) in enumerate(zip(bands, c, row))
+    c, mid = candidate.values, 3 * g
+    same, step = range(2, mid, 3), range(1, mid, 3)
+    compared = [
+        (f"{band}-bound@{{r}}", "{got} >= {want}", range(lo, hi), c[lo:hi], row[lo:hi], ge)
+        for band, lo, hi in (("lower", 0, mid), ("middle", mid, mid + 4),
+                             ("upper", mid + 4, len(c)))
     ]
-    items += [
-        (f"lower-equality@{r}", c[r] == lower[r], f"{c[r]} == {lower[r]}")
-        for r in range(2, 3 * g, 3)
+    compared += [
+        ("lower-equality@{r}", "{got} == {want}", same,
+         [c[r] for r in same], [lower[r] for r in same], eq),
+        ("difference-identity@{r}", "{got} == {want}", step,
+         [c[k] - c[k - 1] for k in step], [lower[k] - lower[k - 1] for k in step], eq),
+        ("plateau@{r}", f"c[{{r}}]={{got}} == c[{mid}]={{want}}", (mid + 1,),
+         (c[mid + 1],), (c[mid],), eq),
     ]
-    for k in range(1, 3 * g, 3):
-        want = lower[k] - lower[k - 1]
-        got = c[k] - c[k - 1]
-        items.append((f"difference-identity@{k}", got == want, f"{got} == {want}"))
-
-    items.append(
-        (
-            f"plateau@{3 * g + 1}",
-            c[3 * g + 1] == c[3 * g],
-            f"c[{3 * g + 1}]={c[3 * g + 1]} == c[{3 * g}]={c[3 * g]}",
-        )
-    )
-
-    problems = set(candidate.check())
-    items.append(("poincare-duality", "poincare-duality" not in problems, "table is self-dual"))
-    items.append(
-        ("euler-characteristic", "euler-characteristic" not in problems, "alternating sum is 0")
-    )
-    return TheoremReport(genus=g, items=tuple(items))
+    families = [
+        (name, detail, degrees, got, want, tuple(map(rel, got, want)))
+        for name, detail, degrees, got, want, rel in compared
+    ]
+    problems = candidate.check()
+    families += [
+        (name, detail, (None,), (None,), (None,), (name not in problems,))
+        for name, detail in (("poincare-duality", "table is self-dual"),
+                             ("euler-characteristic", "alternating sum is 0"))
+    ]
+    return TheoremReport(genus=g, families=tuple(families))

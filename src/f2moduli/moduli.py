@@ -11,8 +11,9 @@ of maps on mod-2 homology organise everything:
 
 Closed formulas determine the half-space Betti numbers n_r, computed once
 per genus by :func:`nplus_betti`, and the full profile (rank, domain,
-codomain) of ``mu`` and ``rho`` at every degree, built as one ladder per
-genus by :func:`boundary_profiles`.  The rank of ``nu`` is genuinely
+codomain) of ``mu`` and ``rho`` at every degree, whose one owner is
+:func:`boundary_ladder`: int rows per genus, which :func:`boundary_profiles`
+wraps as :class:`MapProfile` values.  The rank of ``nu`` is genuinely
 extra information; for genus 1 and 2 it is recorded data (see
 :mod:`f2moduli.reference`), and the functions here expose it as
 :class:`GenusData` bundles for the diagram calculus.
@@ -23,8 +24,10 @@ c-dimensional space of rank a.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import le
 from typing import NamedTuple
 
 from . import reference
@@ -38,6 +41,7 @@ __all__ = [
     "GenusData",
     "nplus_betti",
     "nhat_betti",
+    "boundary_ladder",
     "boundary_profiles",
     "nu_profile",
     "assemble_genus_data",
@@ -148,14 +152,16 @@ def nhat_betti(g: int) -> BettiTable:
     return BettiTable(g, "F2", tuple(values), space="relative")
 
 
-def boundary_profiles(g: int) -> tuple[tuple[MapProfile, ...], tuple[MapProfile, ...]]:
-    """The profiles of mu_r and rho_r for r = 0..6g, built in one pass.
+def boundary_ladder(g: int) -> tuple[Sequence[int], ...]:
+    """The mu_r and rho_r formulas for r = 0..6g, as int rows built in one pass:
+    (mu rank, mu domain, rho rank, rho domain, n_r).
 
     Both maps land in the half-space, codomain n_r (:func:`nplus_betti`).
     mu_r has domain h[r] + h[r-2] and kernel h[r] - m_r below degree 3g,
     h[r] + m_{r+1} from 3g on.  rho_r has domain h[r-2] and is injective
     up to degree 3g+1, surjective from 3g+1 on (an isomorphism exactly
-    where both hold).
+    where both hold).  An entry that is not a profile is refused with
+    :class:`MapProfile`'s own message, the first mu entry before any rho.
     """
     values, nplus = mod2_table(g).values, nplus_betti(g).values
     h = (*values, 0, 0, 0)  # h[r], r = 0..6g
@@ -166,12 +172,20 @@ def boundary_profiles(g: int) -> tuple[tuple[MapProfile, ...], tuple[MapProfile,
     if min(kernels) < 0:
         r = next(r for r, k in enumerate(kernels) if k < 0)
         raise ValidationError(f"mu kernel formula went negative at degree {r}")
-    mu = tuple(
-        MapProfile(a + b - k, a + b, n) for a, b, k, n in zip(h, h2, kernels, nplus)
-    )
-    rho = (*(MapProfile(b, b, n) for b, n in zip(h2[: 3 * g + 2], nplus)),
-           *(MapProfile(n, b, n) for b, n in zip(h2[3 * g + 2:], nplus[3 * g + 2:])))
-    return mu, rho
+    mu_dom = [a + b for a, b in zip(h, h2)]
+    mu_rank = [d - k for d, k in zip(mu_dom, kernels)]
+    rho_rank = (*h2[: 3 * g + 2], *nplus[3 * g + 2:])
+    for rank, dom in ((mu_rank, mu_dom), (rho_rank, h2)):
+        if min(rank) < 0 or not all(map(le, rank, dom)) or not all(map(le, rank, nplus)):
+            tuple(map(MapProfile, rank, dom, nplus))  # raises at the first bad entry
+    return mu_rank, mu_dom, rho_rank, h2, nplus
+
+
+def boundary_profiles(g: int) -> tuple[tuple[MapProfile, ...], tuple[MapProfile, ...]]:
+    """The profiles of mu_r and rho_r for r = 0..6g, from :func:`boundary_ladder`."""
+    mu_rank, mu_dom, rho_rank, rho_dom, nplus = boundary_ladder(g)
+    return (tuple(map(MapProfile, mu_rank, mu_dom, nplus)),
+            tuple(map(MapProfile, rho_rank, rho_dom, nplus)))
 
 
 # ---------------------------------------------------------------------------
@@ -340,13 +354,12 @@ def reference_diagnostics() -> list[Diagnostic]:
 
     for g, rows in ((1, reference.GENUS1_ROWS), (2, reference.GENUS2_ROWS)):
         h = mod2_table(g)
-        nplus = nplus_betti(g)
-        mu, rho = boundary_profiles(g)
+        mu_rank, mu_dom, rho_rank, rho_dom, nplus = boundary_ladder(g)
         for r, (h_rec, n_rec, mu_rec, rho_rec, nu_rec) in rows.items():
             note(f"recorded-genus{g}-framed@{r}", h[r], h_rec)
             note(f"recorded-genus{g}-halfspace@{r}", nplus[r], n_rec)
-            note(f"recorded-genus{g}-mu@{r}", (mu[r].rank, mu[r].dom, mu[r].cod), mu_rec)
-            note(f"recorded-genus{g}-rho@{r}", (rho[r].rank, rho[r].dom, rho[r].cod), rho_rec)
+            note(f"recorded-genus{g}-mu@{r}", (mu_rank[r], mu_dom[r], nplus[r]), mu_rec)
+            note(f"recorded-genus{g}-rho@{r}", (rho_rank[r], rho_dom[r], nplus[r]), rho_rec)
             # nu rank is recorded data; only its shape is formula-checked
             note(f"recorded-genus{g}-nu-shape@{r}", (h[r], nplus[r]), nu_rec[1:])
     return out

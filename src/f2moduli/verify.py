@@ -25,7 +25,7 @@ from ._witness import WitnessSet, synthesize_witnesses
 from .f2la import compose, inverse, rank
 from .moduli import (
     GenusData,
-    boundary_profiles,
+    boundary_ladder,
     genus1_data,
     genus2_data,
     nhat_betti,
@@ -110,30 +110,24 @@ def run_checks(max_genus: int) -> tuple[list[tuple[str, bool, str]], list[str]]:
     notes: list[str] = []
     top = max_genus
 
-    ok = True
-    bad = ""
-    for g in range(1, min(top, 6) + 1):
-        for field, table, golden in (
-            ("F2", mod2_table, reference.F2_HALF),
-            ("Q", rational_table, reference.Q_HALF),
-        ):
-            got = table(g).half()
-            if got != golden[g]:
-                ok, bad = False, f"{field} g={g}: {got} != {golden[g]}"
-                break
-    checks.append(("golden-half-tables", ok, bad or f"g=1..{min(top, 6)} both fields"))
+    halves = (("F2", mod2_table, reference.F2_HALF), ("Q", rational_table, reference.Q_HALF))
+    half_tables = (
+        (f"{field} g={g}", table(g).half(), golden[g])
+        for g in range(1, min(top, 6) + 1)
+        for field, table, golden in halves
+    )
+    bad = next((f"{where}: {got} != {want}" for where, got, want in half_tables if got != want), "")
+    checks.append(("golden-half-tables", not bad, bad or f"g=1..{min(top, 6)} both fields"))
 
     ok = all(
         (lambda t: t[0] == t[1] == t[2])(total_rank_identity(g)) for g in range(1, top + 1)
     )
     checks.append(("total-rank-identity", ok, f"g=1..{top}"))
 
-    ok = True
-    for g in range(2, top + 1):
-        want = middle_closed_form(g)
-        if any(v != want for v in mod2_table(g).values[3 * g - 3: 3 * g + 1]):
-            ok = False
-            break
+    ok = all(
+        set(mod2_table(g).values[3 * g - 3: 3 * g + 1]) == {middle_closed_form(g)}
+        for g in range(2, top + 1)
+    )
     checks.append(("middle-closed-form", ok, f"four middle degrees, g=2..{top}"))
 
     ok = all(verify_theorem(g, mod2_table(g + 1)).all_pass for g in range(1, top))
@@ -158,10 +152,10 @@ def run_checks(max_genus: int) -> tuple[list[tuple[str, bool, str]], list[str]]:
     for g in range(1, top + 1):
         # coker mu_r + ker mu_{r-1} = nhat_r and coker rho_r + ker rho_{r-1} = m_r
         ker = rker = 0
-        for a, b, rel, m in zip(*boundary_profiles(g), nhat_betti(g).values, m_row(g)):
-            if a.cod - a.rank + ker != rel or b.cod - b.rank + rker != m:
+        for a, d, b, e, n, rel, m in zip(*boundary_ladder(g), nhat_betti(g).values, m_row(g)):
+            if n - a + ker != rel or n - b + rker != m:
                 ok = False
-            ker, rker = a.dom - a.rank, b.dom - b.rank
+            ker, rker = d - a, e - b
     checks.append(("halfspace-bookkeeping", ok, f"mu and rho ladders, g=1..{top}"))
 
     diags = reference_diagnostics()

@@ -181,6 +181,21 @@ def test_verify_theorem_flags_perturbation():
     assert "poincare-duality" in failures
 
 
+def test_all_pass_reads_the_same_verdicts_as_items():
+    # every single-entry step off the recursion's table, up or down
+    for g in range(1, 7):
+        good = mod2_table(g + 1).values
+        for r in range(len(good)):
+            for delta in (1, -1):
+                v = list(good)
+                v[r] += delta
+                if v[r] < 0:
+                    continue
+                report = betti.verify_theorem(g, BettiTable(g + 1, "F2", tuple(v)))
+                assert report.all_pass == all(ok for _, ok, _ in report.items), (g, r, delta)
+                assert not report.all_pass, (g, r, delta)
+
+
 def test_verify_theorem_rejects_wrong_genus():
     with pytest.raises(ValidationError, match="genus"):
         betti.verify_theorem(1, mod2_table(3))

@@ -66,6 +66,10 @@ GOLDEN_SHA256 = [
      "3abff1320ee8826d4b7428a93e7f2289328312902cf6a9a4ad777837c19a4041"),
     ("tables --max-genus 30 --full --format json",
      "50a4e8b667d296bd66c6de95dbe418965165a4f0a6417eeaaea4facbfc2de212"),
+    # three times the benchmark's verify-deep genus: the boundary ladders
+    # and the recursion steps, recorded before they moved to integer rows
+    ("verify --max-genus 120 --format json",
+     "00c195b294a68a1f6621c8ff83dbdb8a8a1a8abdffd2b7bcca329c6a470d20b4"),
 ]
 
 

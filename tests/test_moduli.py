@@ -16,6 +16,7 @@ from f2moduli.moduli import (
     MapRef,
     SideConstraint,
     assemble_genus_data,
+    boundary_ladder,
     boundary_profiles,
     genus1_data,
     genus2_data,
@@ -242,6 +243,46 @@ def test_ladders_match_the_per_degree_formulas():
         ref_mu, ref_rho = ref_profiles(h, g)
         assert mu == tuple(MapProfile(*p) for p in ref_mu), f"mu genus {g}"
         assert rho == tuple(MapProfile(*p) for p in ref_rho), f"rho genus {g}"
+
+
+def test_ladder_is_the_profiles_field_for_field():
+    for g in range(1, 61):
+        mu_rank, mu_dom, rho_rank, rho_dom, cod = boundary_ladder(g)
+        mu, rho = boundary_profiles(g)
+        assert list(mu_rank) == [p.rank for p in mu], f"mu rank genus {g}"
+        assert list(mu_dom) == [p.dom for p in mu], f"mu dom genus {g}"
+        assert list(rho_rank) == [p.rank for p in rho], f"rho rank genus {g}"
+        assert list(rho_dom) == [p.dom for p in rho], f"rho dom genus {g}"
+        assert list(cod) == [p.cod for p in mu] == [p.cod for p in rho], f"cod genus {g}"
+        assert tuple(cod) == nplus_betti(g).values
+
+
+def patch_nplus(monkeypatch, g: int, changes: dict[int, int]) -> None:
+    values = list(nplus_betti(g).values)
+    for r, v in changes.items():
+        values[r] = v
+    table = BettiTable(g, "F2", tuple(values), space="plus")
+    monkeypatch.setattr(moduli, "nplus_betti", lambda k: table)
+
+
+def test_rho_rank_past_its_domain_is_refused_as_a_profile(monkeypatch):
+    # above degree 3g+1 rho_r is onto, rank n_r; n_5 = 2 at genus 1 makes
+    # that rank exceed the domain h[3] = 1, while mu_5 = 0_1^2 stays a profile
+    patch_nplus(monkeypatch, 1, {5: 2})
+    for build in (boundary_ladder, boundary_profiles):
+        with pytest.raises(ValidationError) as err:
+            build(1)
+        assert str(err.value) == "rank 2 exceeds min(1, 2)"
+
+
+def test_mu_refusal_comes_before_a_lower_rho_refusal(monkeypatch):
+    # genus 2: n_8 = 6 refuses rho_8 (rank 6 on a 5-dimensional domain),
+    # n_9 = 0 refuses mu_9 (rank 1 into nothing); mu is named first
+    patch_nplus(monkeypatch, 2, {8: 6, 9: 0})
+    for build in (boundary_ladder, boundary_profiles):
+        with pytest.raises(ValidationError) as err:
+            build(2)
+        assert str(err.value) == "rank 1 exceeds min(2, 0)"
 
 
 def test_negative_relative_entry_rejected(monkeypatch):
